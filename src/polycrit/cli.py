@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -434,10 +435,31 @@ _DISPATCH = {
 }
 
 
+# options whose complex value may start with a minus, as in "--alpha -0.5,0.1"
+_COMPLEX_OPTIONS = ("--alpha", "--zero", "--probes")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--alpha -0.5,0.1" as "--alpha=-0.5,0.1".
+
+    argparse takes a token with a leading minus for an option unless the
+    whole token is a plain number, so it would refuse a spaced value such
+    as -0.5,0.1; attached with "=", the token is always read as the value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and _SIGNED_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(exc.code or 0)

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .lp import in_convex_hull
 from .metrics import bottleneck_assignment
-from .poly import Polynomial, cluster_points
+from .poly import Polynomial, RootSet, cluster_points
 
 NORMALITY_TOL = 1e-9
 CHAR_POLY_MAX = 32
@@ -124,15 +124,26 @@ class SpectrumPair:
 
 
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
-    """Spectra of A and of A with row/column i deleted.
+    """Spectra of A and of A with row/column i deleted, in RootSet format
+    (lex-sorted, a k-fold eigenvalue as its cluster centroid repeated k
+    times).
 
-    Submatrices of normal matrices need not be normal, so both spectra go
-    through the characteristic-polynomial route and the simultaneous root
-    finder rather than a Hermitian eigensolver.
+    The parent spectrum comes from LAPACK: A is certified normal, so by
+    Bauer-Fike every eigenvalue, multiple ones included, has condition
+    number 1 and a backward-stable eigensolver is as accurate as the
+    spectrum allows.  The submatrix need not be normal and can be
+    defective (the compression of scaled roots of unity is nilpotent);
+    there an eigensolver splits an m-fold eigenvalue into a ring of radius
+    about eps^(1/m), so that spectrum goes through the characteristic
+    polynomial and the root finder, whose polish restores multiplicities.
+    The order of A stays capped at CHAR_POLY_MAX, as when both spectra
+    went through char_poly, so the accepted orders do not change.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    full = char_poly(A.entries).find_roots().points
+    if A.n > CHAR_POLY_MAX:
+        raise ValueError(f"matrix order {A.n} exceeds char_poly cap {CHAR_POLY_MAX}")
+    full = RootSet.from_points(np.linalg.eigvals(A.entries)).points
     sub = char_poly(principal_submatrix(A.entries, i)).find_roots().points
     return SpectrumPair(eig_full=full, eig_sub=sub, source_index=i)
 

@@ -7,6 +7,7 @@ families sit beside monic polynomials without special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,6 +185,13 @@ class RootSet:
     points: tuple[complex, ...]
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
+    @classmethod
+    def from_points(cls, points, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> "RootSet":
+        """Snap raw points: each tol-cluster becomes its centroid repeated
+        with its multiplicity, and the multiset is lex-sorted."""
+        merged = [c for c, mult in cluster_points(points, cluster_tol) for _ in range(mult)]
+        return cls(tuple(np.array(sort_lex(merged))), cluster_tol=cluster_tol)
+
     def clusters(self) -> list[tuple[complex, int]]:
         return cluster_points(self.points, self.cluster_tol)
 
@@ -199,7 +207,9 @@ class Polynomial:
     """Polynomial with ascending-degree coefficient tuple.
 
     Invariants: len(coeffs) == degree + 1 and the leading coefficient has
-    magnitude > 1e-14 unless the degree is zero.
+    magnitude > 1e-14 unless the degree is zero.  The instance is frozen,
+    so its derivative and default-argument roots are computed once and
+    kept; equality and hashing see the coefficients only.
     """
 
     coeffs: tuple[complex, ...]
@@ -246,7 +256,15 @@ class Polynomial:
         return out if arr.ndim else complex(out[0])
 
     def derivative(self) -> "Polynomial":
-        """Coefficient-wise derivative; degree 0 yields the flagged zero polynomial."""
+        """Coefficient-wise derivative; degree 0 yields the flagged zero polynomial.
+
+        Memoized: repeated calls return the same instance, so its own
+        memoized roots (the critical points) are found once as well.
+        """
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0j,))
         return Polynomial(tuple(_derive(np.array(self.coeffs))))
@@ -282,7 +300,22 @@ class Polynomial:
         Multiple roots are reported as their cluster centroid repeated, after
         a Newton polish on the appropriate derivative.  Raises
         RootFindingError when max |p(root)| exceeds 1e-10 * (1 + max|coeff|).
+
+        At the default arguments the result is memoized on the instance:
+        every call returns the same RootSet, which is immutable and shared
+        by all callers.  A non-default cluster_tol or max_iter computes
+        afresh, and a failure is never cached, so it is raised again on
+        every call.
         """
+        if cluster_tol == DEFAULT_CLUSTER_TOL and max_iter == ABERTH_MAX_ITER:
+            return self._default_roots
+        return self._compute_roots(cluster_tol, max_iter)
+
+    @cached_property
+    def _default_roots(self) -> RootSet:
+        return self._compute_roots(DEFAULT_CLUSTER_TOL, ABERTH_MAX_ITER)
+
+    def _compute_roots(self, cluster_tol: float, max_iter: int) -> RootSet:
         if self.degree < 1:
             raise ValueError("degree >= 1 required for root finding")
         c = np.array(self.coeffs)
@@ -295,15 +328,13 @@ class Polynomial:
             spread * f for f in (0.02, 0.1, 0.5, 1.1) if spread * f > 1e-2
         )
         z = _polish_multiple(z, c / c[-1], scales=ladder)
-        merged: list[complex] = []
-        for centroid, mult in cluster_points(z, cluster_tol):
-            merged.extend([centroid] * mult)
-        pts = np.array(sort_lex(merged))
+        roots = RootSet.from_points(z, cluster_tol)
+        pts = roots.as_array()
         scale = 1.0 + max(abs(x) for x in self.coeffs)
         residual = float(np.abs(_horner(c, pts)).max())
         if residual > RESIDUAL_BUDGET * scale:
             raise RootFindingError("root iteration did not meet residual budget", pts, residual)
-        return RootSet(tuple(pts), cluster_tol=cluster_tol)
+        return roots
 
 
 def reconstruction_error(roots: RootSet, p: Polynomial) -> float:

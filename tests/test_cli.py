@@ -208,6 +208,32 @@ class TestCommands:
             assert key in rep
 
 
+class TestSignedValues:
+    """A complex option value with a leading minus parses the same spaced
+    as attached with '='."""
+
+    @pytest.mark.parametrize(
+        "cmd, option, value",
+        [
+            (["major", "check"], "--alpha", "-0.5,0.1"),
+            (["varfirst", "extensible"], "--zero", "-1,0"),
+            (["varfirst", "matrices"], "--zero", "-1,0"),
+            (["normal", "glweights"], "--probes", "-2,0;1.5,1.5"),
+        ],
+    )
+    def test_spaced_equals_attached(self, capsys, quartic_file, cmd, option, value):
+        code1, rep1 = run(capsys, cmd + [quartic_file, option, value])
+        code2, rep2 = run(capsys, cmd + [quartic_file, f"{option}={value}"])
+        assert code1 == code2 == 0
+        assert rep1["inputs"][option[2:]] == value
+        rep1.pop("duration_ms")
+        rep2.pop("duration_ms")
+        assert rep1 == rep2
+
+    def test_option_is_not_swallowed_as_value(self, capsys, quartic_file):
+        assert main(["varfirst", "matrices", quartic_file, "--zero", "--emit", "A"]) == 2
+
+
 class TestErrorPaths:
     def test_missing_file_is_exit_two(self, capsys):
         code = main(["metrics", "d", "nope.json"])

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from polycrit.metrics import bottleneck_match
-from polycrit.poly import Polynomial
+from polycrit.poly import Polynomial, sort_lex
 from polycrit import normal_ops as no
 
-from conftest import disk_points
+from conftest import disk_points, roots_of_unity
 
 
 class TestDftUnitary:
@@ -136,6 +138,52 @@ class TestCompression:
     def test_non_normal_rejected(self):
         with pytest.raises(ValueError, match="not normal"):
             no.as_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestParentSpectrum:
+    """eig_full comes from LAPACK; the submatrix spectrum from char_poly."""
+
+    @staticmethod
+    def _matrices(roots, n):
+        return [no.random_normal(roots, seed=n), no.normal_from_roots(roots)]
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_simple_spectrum_matches_both_oracles(self, n, rng):
+        roots = disk_points(rng, n, min_sep=1e-2)
+        for A in self._matrices(roots, n):
+            full = no.compression_spectrum(A, n // 2).eig_full
+            cp = no.char_poly(A.entries)
+            assert bottleneck_match(full, cp.find_roots().points) <= 1e-10
+            assert bottleneck_match(full, np.roots(np.array(cp.coeffs)[::-1])) <= 1e-10
+            assert bottleneck_match(full, roots) <= 1e-10
+            assert list(full) == sort_lex(full)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    @pytest.mark.parametrize("pattern", ["triple", "two-doubles"])
+    def test_repeated_eigenvalues_are_exact_repeats(self, n, pattern, rng):
+        d = disk_points(rng, n - 2, min_sep=5e-2)
+        roots = np.r_[d[:1], d[:1], d] if pattern == "triple" else np.r_[d[:1], d[1:2], d]
+        expect = sorted(Counter(roots.tolist()).values())
+        for A in self._matrices(roots, n):
+            full = no.compression_spectrum(A, 0).eig_full
+            assert sorted(Counter(full).values()) == expect
+            assert bottleneck_match(full, no.char_poly(A.entries).find_roots().points) <= 1e-10
+            assert bottleneck_match(full, roots) <= 1e-10
+            assert list(full) == sort_lex(full)
+
+    def test_order_cap_kept(self):
+        # the submatrix route alone would accept order 33 (a 32 x 32 char_poly)
+        A = no.as_normal(np.diag(np.arange(33, dtype=complex)))
+        with pytest.raises(ValueError, match="cap"):
+            no.compression_spectrum(A, 0)
+
+    def test_nilpotent_compression_keeps_sevenfold_zero(self):
+        # an eigensolver would split this defective 7-fold 0 into a ring of
+        # radius ~5e-3; the char_poly route returns one exactly repeated point
+        A = no.normal_from_roots(roots_of_unity(8, radius=0.8))
+        sub = no.compression_spectrum(A, 0).eig_sub
+        assert len(sub) == 7 and len(set(sub)) == 1
+        assert abs(sub[0]) <= 1e-14
 
 
 class TestSpectralVariation:

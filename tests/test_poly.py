@@ -143,6 +143,48 @@ class TestFindRoots:
             Polynomial((1.0,)).find_roots()
 
 
+class TestMemo:
+    def test_roots_and_derivative_found_once(self, rng):
+        p = Polynomial.from_roots(disk_points(rng, 7))
+        assert p.find_roots() is p.find_roots()
+        assert p.derivative() is p.derivative()
+        assert p.derivative().find_roots() is p.derivative().find_roots()
+
+    @pytest.mark.parametrize("kwargs", [{"cluster_tol": 1e-4}, {"max_iter": 300}])
+    def test_non_default_arguments_compute_fresh(self, kwargs):
+        p = Polynomial.from_roots([0.3, 0.3 + 1e-6, -0.5j, 0.7 + 0.1j])
+        default = p.find_roots()
+        got = p.find_roots(**kwargs)
+        assert got == Polynomial(p.coeffs).find_roots(**kwargs)
+        assert got is not p.find_roots(**kwargs)
+        assert p.find_roots() is default
+        assert default == Polynomial(p.coeffs).find_roots()
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        p = Polynomial.from_roots([0.4, -0.5, 0.1j])
+        calls = []
+
+        def wrong(coeffs, max_iter):
+            calls.append(max_iter)
+            return np.zeros(3, dtype=complex)
+
+        monkeypatch.setattr("polycrit.poly.aberth_roots", wrong)
+        for _ in range(2):
+            with pytest.raises(RootFindingError):
+                p.find_roots()
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert bottleneck_match(p.find_roots().points, [0.4, -0.5, 0.1j]) <= 1e-12
+
+    def test_equality_and_hash_ignore_memo(self, rng):
+        coeffs = Polynomial.from_roots(disk_points(rng, 5)).coeffs
+        p, q = Polynomial(coeffs), Polynomial(coeffs)
+        p.find_roots()
+        p.derivative().find_roots()
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert {p: "memoized"}[q] == "memoized"
+
+
 class TestInvariants:
     def test_round_trip_multiset(self, rng):
         for _ in range(30):
