@@ -26,7 +26,7 @@ from . import (
     variation_first,
     variation_second,
 )
-from .poly import Polynomial
+from .poly import Polynomial, disk_points
 
 
 def parse_complex(text: str) -> complex:
@@ -82,20 +82,16 @@ class _Report:
         return 0 if all(c["pass"] for c in self.checks) else 1
 
 
-def _load_poly(path: str) -> Polynomial:
-    return jsonio.read_poly(path)
-
-
 def _cmd_metrics(args, rep: _Report, tol: float) -> None:
     if args.op == "d":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         value, worst = metrics.directed_hausdorff(p)
         rep.outputs = {"value": value, "worst_zero": jsonio.pairs([worst])[0]}
     elif args.op == "delta":
-        p, q = _load_poly(args.p), _load_poly(args.q)
+        p, q = jsonio.read_poly(args.p), jsonio.read_poly(args.q)
         rep.outputs = {"value": metrics.delta_distance(p, q)}
     elif args.op == "smale":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         value = metrics.smale_ratio(p)
         n = p.degree
         rep.outputs = {"value": value, "mean_value_bound": (n - 1) / n}
@@ -103,7 +99,7 @@ def _cmd_metrics(args, rep: _Report, tol: float) -> None:
 
 
 def _cmd_varfirst(args, rep: _Report, tol: float) -> None:
-    p = _load_poly(args.poly)
+    p = jsonio.read_poly(args.poly)
     a = parse_complex(args.zero)
     if args.op == "extensible":
         cert = variation_first.extensibility(p, a)
@@ -173,7 +169,7 @@ def _cmd_zeromax(args, rep: _Report, tol: float) -> None:
             jsonio.write_poly(args.out, p)
             rep.outputs["written"] = args.out
     elif args.op == "verify":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         report = maximal_zero.verify_0maximal(p, tol=tol)
         rep.outputs = {
             "radius": report.radius,
@@ -196,7 +192,7 @@ def _cmd_zeromax(args, rep: _Report, tol: float) -> None:
 
 def _cmd_normal(args, rep: _Report, tol: float) -> None:
     if args.op == "compress":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         A = normal_ops.normal_from_roots(p.find_roots().points)
         pair = normal_ops.compression_spectrum(A, args.index)
         rep.outputs = {
@@ -210,16 +206,9 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
         rng = np.random.default_rng(args.seed)
         worst = -np.inf
         if args.poly:
-            polys = [_load_poly(args.poly)]
+            polys = [jsonio.read_poly(args.poly)]
         else:
-            polys = []
-            for _ in range(args.trials):
-                pts = []
-                while len(pts) < args.n:
-                    x, y = rng.uniform(-1, 1, 2)
-                    if x * x + y * y <= 1:
-                        pts.append(complex(x, y))
-                polys.append(Polynomial.from_roots(pts))
+            polys = [Polynomial.from_roots(disk_points(rng, args.n)) for _ in range(args.trials)]
         for p in polys:
             roots = p.find_roots().as_array()
             A = normal_ops.normal_from_roots(roots)
@@ -229,7 +218,7 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
         rep.outputs = {"max_excess": worst, "trials": len(polys)}
         rep.check("spectral-variation-bound", worst <= 1e-9, worst, 1e-9)
     elif args.op == "glweights":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         A = normal_ops.normal_from_roots(p.find_roots().points)
         probes = [parse_complex(s) for s in args.probes.split(";")]
         weights, residual = normal_ops.gauss_lucas_weights(A, args.index, probes)
@@ -237,7 +226,7 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
         rep.check("weights-sum-to-one", abs(weights.sum() - 1) <= 1e-10, abs(weights.sum() - 1), 1e-10)
         rep.check("partial-fraction-residual", residual <= 1e-8, residual, 1e-8)
     elif args.op == "interlace":
-        p = _load_poly(args.poly)
+        p = jsonio.read_poly(args.poly)
         A = normal_ops.normal_from_roots(p.find_roots().points)
         ratios = normal_ops.interlace_ratios(A, args.index)
         rep.outputs = {"ratios": [float(r) for r in ratios]}
@@ -245,7 +234,7 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
 
 
 def _cmd_major(args, rep: _Report, tol: float) -> None:
-    p = _load_poly(args.poly)
+    p = jsonio.read_poly(args.poly)
     alpha = parse_complex(args.alpha)
     if args.op == "check":
         W = majorization.tuple_W(p, alpha, args.k)
@@ -300,12 +289,7 @@ def _cmd_gen(args, rep: _Report, tol: float) -> None:
 
     if args.kind == "random_Sn":
         for idx in range(args.count):
-            pts: list[complex] = []
-            while len(pts) < args.n:
-                x, y = rng.uniform(-1.0, 1.0, 2)
-                if x * x + y * y <= 1.0:
-                    pts.append(complex(x, y))
-            emit(f"random_S{args.n}_{idx:03d}", Polynomial.from_roots(pts))
+            emit(f"random_S{args.n}_{idx:03d}", Polynomial.from_roots(disk_points(rng, args.n)))
     elif args.kind == "zero_maximal":
         for idx, theta in enumerate(np.linspace(0.0, 2 * np.pi, args.count, endpoint=False)):
             spec = maximal_zero.ZeroMaximalSpec(n=args.n, theta=float(theta), lam=getattr(args, "lambda"))

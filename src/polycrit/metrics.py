@@ -6,7 +6,6 @@ metric Delta(p, q), and the Smale mean-value ratio.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,36 +60,20 @@ def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     return best_val, worst
 
 
-def _kuhn_matching(adj: np.ndarray) -> list[int]:
-    """Maximum bipartite matching by augmenting paths (rows <= cols).
-
-    Returns, for each column, the matched row or -1.
-    """
-    m, n = adj.shape
-    match_right = [-1] * n
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in range(n):
-            if adj[u, v] and not seen[v]:
-                seen[v] = True
-                if match_right[v] < 0 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(m):
-        augment(u, [False] * n)
-    return match_right
-
-
 def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     """Injective matching of a into b minimizing the largest pair distance.
 
-    Binary search over realized pairwise distances with a perfect-matching
-    feasibility test, so the value is exact (a realized distance) rather
-    than an accumulated float.  Returns (value, assignment) where
-    assignment[i] is the index in b matched to a[i].
+    Binary search over the realized pairwise distances; each step asks
+    scipy's Hopcroft-Karp matcher whether the pairs within the candidate
+    distance admit a matching that covers a.  The value is therefore a
+    realized distance, not an accumulated float.  Returns (value,
+    assignment) where assignment[i] is the index in b matched to a[i].
     """
+    # imported here so that CLI commands that never match points do not
+    # pay for loading scipy.sparse at start-up
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     A = np.asarray(a, dtype=complex)
     B = np.asarray(b, dtype=complex)
     if len(A) > len(B):
@@ -98,38 +81,23 @@ def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     D = np.abs(A[:, None] - B[None, :])
     cands = np.unique(D)
     slack = 1e-15 * (1.0 + float(cands[-1]))
+
+    def match(t: float) -> np.ndarray:
+        return maximum_bipartite_matching(csr_array(D <= t + slack), perm_type="column")
+
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        match_right = _kuhn_matching(D <= cands[mid] + slack)
-        if sum(1 for r in match_right if r >= 0) == len(A):
+        if (match(cands[mid]) >= 0).all():
             hi = mid
         else:
             lo = mid + 1
-    match_right = _kuhn_matching(D <= cands[lo] + slack)
-    assignment = [-1] * len(A)
-    for col, row in enumerate(match_right):
-        if row >= 0:
-            assignment[row] = col
-    return float(cands[lo]), assignment
+    return float(cands[lo]), [int(j) for j in match(cands[lo])]
 
 
 def bottleneck_match(a, b) -> float:
     """Bottleneck value alone; see bottleneck_assignment."""
     return bottleneck_assignment(a, b)[0]
-
-
-def bottleneck_brute(a, b) -> float:
-    """Permutation-enumeration oracle for bottleneck_match (small sets only)."""
-    A = [complex(x) for x in a]
-    B = [complex(x) for x in b]
-    if len(A) > 7:
-        raise ValueError("brute-force oracle capped at 7 points")
-    best = None
-    for perm in itertools.permutations(range(len(B)), len(A)):
-        m = max(abs(A[i] - B[perm[i]]) for i in range(len(A)))
-        best = m if best is None else min(best, m)
-    return best
 
 
 def delta_distance(p: Polynomial, q: Polynomial) -> float:

@@ -33,6 +33,21 @@ def sort_lex(points) -> list[complex]:
     return sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
 
 
+def disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n seeded points uniform in the closed unit disk.
+
+    Rejection from the square: each candidate is one rng.uniform(-1, 1, 2)
+    draw, kept when x^2 + y^2 <= 1.  Suite corpora and generated files
+    depend on this exact sequence of draws.
+    """
+    pts: list[complex] = []
+    while len(pts) < n:
+        x, y = rng.uniform(-1.0, 1.0, 2)
+        if x * x + y * y <= 1.0:
+            pts.append(complex(x, y))
+    return np.array(pts)
+
+
 def cluster_indices(points, tol: float) -> list[list[int]]:
     """Index groups of points whose pairwise chains stay within tol.
 
@@ -123,11 +138,17 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
     return z
 
 
-def _reconstruction_gap(points: np.ndarray, coeffs_monic: np.ndarray) -> float:
-    """Relative coefficient distance between prod (z - p_i) and the target."""
+def _expand_roots(points) -> np.ndarray:
+    """Ascending coefficients of prod (z - p_i), by incremental convolution."""
     c = np.array([1.0 + 0j])
     for p in points:
         c = np.convolve(c, np.array([-p, 1.0 + 0j]))
+    return c
+
+
+def _reconstruction_gap(points: np.ndarray, coeffs_monic: np.ndarray) -> float:
+    """Relative coefficient distance between prod (z - p_i) and the target."""
+    c = _expand_roots(points)
     scale = max(1.0, float(np.abs(coeffs_monic).max()))
     return float(np.abs(c - coeffs_monic).max() / scale)
 
@@ -233,10 +254,7 @@ class Polynomial:
         pts = [complex(p) for p in points]
         if not pts:
             raise ValueError("degree zero unsupported: from_roots needs at least one root")
-        c = np.array([1.0 + 0j])
-        for p in pts:
-            c = np.convolve(c, np.array([-p, 1.0 + 0j]))
-        return cls(tuple(c))
+        return cls(tuple(_expand_roots(pts)))
 
     @property
     def degree(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, majorization, metrics, normal_ops, variation_first, variation_second
-from .poly import Polynomial
+from .poly import Polynomial, disk_points
 
 SEED = 20240613
 
@@ -35,15 +35,6 @@ class Check:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.detail}]" if self.detail else ""
         return f"{status}  {self.name}: value {self.value:.3e} vs tolerance {self.tolerance:.3e}{extra}"
-
-
-def _disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    pts: list[complex] = []
-    while len(pts) < n:
-        x, y = rng.uniform(-1.0, 1.0, 2)
-        if x * x + y * y <= 1.0:
-            pts.append(complex(x, y))
-    return np.array(pts)
 
 
 def _rotated(n: int, theta: float) -> Polynomial:
@@ -193,7 +184,7 @@ def criterion_07_differentiator() -> list[Check]:
     worst = 0.0
     for n in range(2, 11):
         for _ in range(100):
-            roots = _disk_points(rng, n)
+            roots = disk_points(rng, n)
             p = Polynomial.from_roots(roots)
             target = np.array(p.derivative().coeffs) * (-1.0) ** (n - 1) / n
             A = normal_ops.normal_from_roots(roots)
@@ -211,7 +202,7 @@ def _svar_corpus() -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for n in range(2, 9):
         for _ in range(500):
-            roots = _disk_points(rng, n)
+            roots = disk_points(rng, n)
             A = normal_ops.normal_from_roots(roots)
             pair = normal_ops.compression_spectrum(A, 0)
             out.append((roots, np.array(pair.eig_sub)))
@@ -284,7 +275,7 @@ def criterion_11_majorization() -> list[Check]:
     worst_id = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        p = Polynomial.from_roots(_disk_points(rng, n))
+        p = Polynomial.from_roots(disk_points(rng, n))
         for k in range(1, n):
             W = majorization.tuple_W(p, 0.0, k)
             Z = majorization.tuple_Z(p, 0.0, k)

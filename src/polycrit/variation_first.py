@@ -19,7 +19,7 @@ from .metrics import ON_CIRCLE_TOL
 from .poly import Polynomial, cluster_points, sort_lex
 
 SIMPLE_TOL = 1e-6  # zeros/critical points count as simple above this separation
-QUAD_TARGET = 1e-10
+_GL_NODES, _GL_WEIGHTS = leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -147,30 +147,14 @@ def cmatrix(s: VariationSetup) -> np.ndarray:
     return (w[:, None] - z[None, :]) ** -2.0
 
 
-def _gauss_legendre(f, a: complex, b: complex, nodes: int = 32) -> complex:
-    x, wts = leggauss(nodes)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return half * np.sum(wts * f(mid + half * x))
-
-
-def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 24) -> complex:
-    whole = _gauss_legendre(f, a, b)
-    mid = (a + b) / 2.0
-    halves = _gauss_legendre(f, a, mid) + _gauss_legendre(f, mid, b)
-    if abs(whole - halves) <= tol or depth == 0:
-        return halves
-    return _adaptive_segment(f, a, mid, tol / 2, depth - 1) + _adaptive_segment(
-        f, mid, b, tol / 2, depth - 1
-    )
-
-
 def dmatrix(s: VariationSetup) -> np.ndarray:
     """(n-1) x (n-1) inverse partner of cmatrix.
 
     delta_jk = -p(w_k) / (p'(z_j) p''(w_k)) * integral over [a, z_j] of
     p'(w)/(w - w_k) dw.  Since w_k is a root of p', the integrand equals
-    lead(p') * prod_{l != k} (w - w_l): a polynomial, integrated by
-    adaptive Gauss-Legendre along the straight segment (no poles arise).
+    lead(p') * prod_{l != k} (w - w_l), a polynomial of degree n - 2 <= 62,
+    so one 32-node Gauss-Legendre rule along the straight segment (exact
+    to degree 63) gives each integral without adaptivity or poles.
     """
     if not s.generic:
         raise ValueError("dmatrix requires a generic setup")
@@ -178,23 +162,16 @@ def dmatrix(s: VariationSetup) -> np.ndarray:
     dp = p.derivative()
     ddp = dp.derivative()
     w = np.array(s.crit)
-    zs = s.zeros[1:]
+    z = np.array(s.zeros[1:])
     n1 = len(w)
-    lead = dp.coeffs[-1]
-    D = np.empty((n1, n1), dtype=complex)
-    for jj, z in enumerate(zs):
-        for k in range(n1):
-            others = np.delete(w, k)
-
-            def integrand(t, others=others):
-                acc = np.full_like(t, lead)
-                for wl in others:
-                    acc = acc * (t - wl)
-                return acc
-
-            integral = _adaptive_segment(integrand, s.a, z, QUAD_TARGET)
-            D[jj, k] = -p(w[k]) / (dp(z) * ddp(w[k])) * integral
-    return D
+    half = (z - s.a) / 2.0
+    nodes = (s.a + half)[:, None] + half[:, None] * _GL_NODES
+    factors = nodes[:, :, None] - w  # (segment j, node, critical point l)
+    integrals = np.empty((n1, n1), dtype=complex)
+    for k in range(n1):
+        integrand = dp.coeffs[-1] * np.prod(np.delete(factors, k, axis=2), axis=2)
+        integrals[:, k] = half * (integrand @ _GL_WEIGHTS)
+    return -p(w) / (dp(z)[:, None] * ddp(w)) * integrals
 
 
 def extensibility(p: Polynomial, a: complex) -> FeasibilityCertificate:

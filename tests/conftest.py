@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
+from polycrit import poly
+
 
 def disk_points(rng, n, min_sep=0.0, max_mod=1.0):
-    """Seeded points in the closed disk of radius max_mod, rejection-sampled
-    until pairwise separations exceed min_sep."""
+    """polycrit.poly.disk_points scaled to the disk of radius max_mod,
+    redrawn until pairwise separations exceed min_sep."""
     while True:
-        pts = []
-        while len(pts) < n:
-            x, y = rng.uniform(-max_mod, max_mod, 2)
-            if x * x + y * y <= max_mod * max_mod:
-                pts.append(complex(x, y))
-        arr = np.array(pts)
+        arr = max_mod * poly.disk_points(rng, n)
         if min_sep == 0.0:
             return arr
         d = np.abs(arr[:, None] - arr[None, :])

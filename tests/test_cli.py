@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycrit
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
-from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, write_poly
-from polycrit.poly import Polynomial
+from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
+from polycrit.metrics import bottleneck_match
+from polycrit.poly import Polynomial, disk_points
 
 
 def run(capsys, argv):
@@ -187,6 +193,19 @@ class TestCommands:
         for name in ("random_S5_000.json", "random_S5_001.json", "random_S5_002.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_gen_random_sn_roots_are_disk_points_draws(self, capsys, tmp_path):
+        code, rep = run(
+            capsys,
+            ["gen", "--kind", "random_Sn", "--n", "6", "--count", "4", "--out", str(tmp_path), "--seed", "11"],
+        )
+        assert code == 0 and len(rep["outputs"]["files"]) == 4
+        rng = np.random.default_rng(11)
+        for path in rep["outputs"]["files"]:
+            draw = disk_points(rng, 6)
+            obj = json.loads(Path(path).read_text())
+            assert obj == poly_to_obj(Polynomial.from_roots(draw), "roots")
+            assert bottleneck_match(unpairs(obj["roots"]), draw) <= 1e-12
+
     def test_gen_other_kinds(self, capsys, tmp_path):
         code, rep = run(
             capsys,
@@ -260,3 +279,17 @@ class TestErrorPaths:
         monkeypatch.setattr("polycrit.cli.metrics.directed_hausdorff", boom)
         assert main(["metrics", "d", quartic_file]) == 2
         assert "iteration budget" in json.loads(capsys.readouterr().out)["error"]
+
+
+class TestStartup:
+    def test_cli_import_leaves_sparse_and_optimize_unloaded(self):
+        # every CLI command is a cold process; scipy.sparse (csgraph) and
+        # scipy.optimize are imported inside the functions that need them
+        src = str(Path(polycrit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, polycrit.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

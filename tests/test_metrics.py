@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from polycrit.metrics import (
     alpha_distance,
-    bottleneck_brute,
+    bottleneck_assignment,
     bottleneck_match,
     delta_distance,
     directed_hausdorff,
@@ -12,6 +15,28 @@ from polycrit.metrics import (
 from polycrit.poly import Polynomial
 
 from conftest import disk_points
+
+
+def bottleneck_brute(a, b):
+    """Permutation-enumeration oracle for bottleneck_match (small sets only)."""
+    A = [complex(x) for x in a]
+    B = [complex(x) for x in b]
+    assert len(A) <= 7, "brute-force oracle capped at 7 points"
+    return min(
+        max(abs(A[i] - B[perm[i]]) for i in range(len(A)))
+        for perm in itertools.permutations(range(len(B)), len(A))
+    )
+
+
+def bottleneck_lsa(a, b):
+    """Smallest realized distance t at which the 0/1 assignment problem
+    with cost [|a_i - b_j| > t] reaches cost 0 (scipy's Hungarian solver)."""
+    D = np.abs(np.subtract.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    for t in np.unique(D):
+        rows, cols = linear_sum_assignment(D > t)
+        if not (D[rows, cols] > t).any():
+            return float(t)
+    raise AssertionError("no threshold admits a full assignment")
 
 
 def power_minus_z(n):
@@ -108,6 +133,28 @@ class TestDelta:
         a = disk_points(rng, 3)
         b = disk_points(rng, 6)
         assert abs(bottleneck_match(a, b) - bottleneck_brute(a, b)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, repeats",
+        [(16, 16, 1), (32, 32, 1), (64, 64, 1), (10, 25, 1), (5, 30, 1), (8, 8, 2), (6, 12, 3)],
+    )
+    def test_assignment_matches_hungarian_oracle(self, rng, n_a, n_b, repeats):
+        # repeats > 1 tiles each set, so every point occurs `repeats` times
+        for _ in range(3):
+            a = np.tile(disk_points(rng, n_a // repeats), repeats)
+            b = np.tile(disk_points(rng, n_b // repeats), repeats)
+            value, assignment = bottleneck_assignment(a, b)
+            assert value == bottleneck_lsa(a, b)
+            assert len(assignment) == len(a) and len(set(assignment)) == len(a)
+            assert all(0 <= j < len(b) for j in assignment)
+            # the matching may use a pair within the kernel's float slack above the value
+            slack = 1e-15 * (1.0 + np.abs(np.subtract.outer(a, b)).max())
+            assert max(abs(a[i] - b[j]) for i, j in enumerate(assignment)) <= value + slack
+
+    def test_assignment_of_repeated_points_to_themselves(self, rng):
+        a = np.repeat(disk_points(rng, 4), 3)
+        value, assignment = bottleneck_assignment(a, rng.permutation(a))
+        assert value == 0.0 and sorted(assignment) == list(range(12))
 
     def test_symmetry_exact(self, rng):
         for _ in range(30):

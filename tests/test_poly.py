@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polycrit.lp import in_convex_hull
+from polycrit import poly
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import (
     Polynomial,
@@ -13,6 +14,26 @@ from polycrit.poly import (
 )
 
 from conftest import disk_points
+
+
+def reference_disk_points(rng, n):
+    """Rejection from the square, one uniform(-1, 1, 2) draw per candidate."""
+    pts = []
+    while len(pts) < n:
+        x, y = rng.uniform(-1.0, 1.0, 2)
+        if x * x + y * y <= 1.0:
+            pts.append(complex(x, y))
+    return np.array(pts)
+
+
+class TestDiskPoints:
+    @pytest.mark.parametrize("seed", [0, 7, 123, 20240613, 987654321])
+    def test_same_draws_as_reference_loop(self, seed):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 5, 16, 64, 3):
+            pts = poly.disk_points(got, n)
+            assert pts.dtype == complex and np.array_equal(pts, reference_disk_points(ref, n))
+            assert np.abs(pts).max() <= 1.0
 
 
 class TestFromRoots:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polycrit.lp import Verdict, strict_feasibility
-from polycrit.poly import Polynomial
+from polycrit.poly import MAX_DEGREE, Polynomial
 from polycrit import variation_first as vf
 
 from conftest import disk_points, roots_of_unity
@@ -126,6 +126,26 @@ class TestMatrices:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_c_times_d_identity(self, n):
         s = vf.setup(power_minus_z(n), 0.0)
+        C, D = vf.cmatrix(s), vf.dmatrix(s)
+        assert np.abs(C @ D - np.eye(n - 1)).max() <= 1e-8
+
+    @pytest.mark.parametrize("n, max_mod", [(n, 1.0) for n in range(8, 17)] + [(14, 2.0)])
+    def test_dmatrix_is_inverse_of_cmatrix(self, n, max_mod):
+        rng = np.random.default_rng(1000 + n)
+        p = Polynomial.from_roots(disk_points(rng, n, min_sep=5e-2, max_mod=max_mod))
+        s = vf.setup(p, p.find_roots().points[0])
+        assert s.generic
+        C, D = vf.cmatrix(s), vf.dmatrix(s)
+        assert np.abs(C @ D - np.eye(n - 1)).max() <= 1e-8
+        inv = np.linalg.inv(C)
+        assert np.abs(D - inv).max() <= 1e-8 * np.abs(inv).max()
+
+    def test_dmatrix_at_degree_cap(self):
+        # criterion 03's family z (z^(n-1) - 1) at n = 64: the integrand has
+        # degree 62, and a 16-node rule (exact to degree 31) misses by 1.6e-7
+        n = MAX_DEGREE
+        p = Polynomial.from_roots(np.r_[0.0, np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))])
+        s = vf.setup(p, 0.0)
         C, D = vf.cmatrix(s), vf.dmatrix(s)
         assert np.abs(C @ D - np.eye(n - 1)).max() <= 1e-8
 
