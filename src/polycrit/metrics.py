@@ -67,7 +67,8 @@ def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     scipy's Hopcroft-Karp matcher whether the pairs within the candidate
     distance admit a matching that covers a.  The value is therefore a
     realized distance, not an accumulated float.  Returns (value,
-    assignment) where assignment[i] is the index in b matched to a[i].
+    assignment) where assignment[i] is the index in b matched to a[i];
+    an empty a matches at value 0.
     """
     # imported here so that CLI commands that never match points do not
     # pay for loading scipy.sparse at start-up
@@ -78,6 +79,8 @@ def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     B = np.asarray(b, dtype=complex)
     if len(A) > len(B):
         raise ValueError("first point set must not be larger than second")
+    if len(A) == 0:
+        return 0.0, []
     D = np.abs(A[:, None] - B[None, :])
     cands = np.unique(D)
     slack = 1e-15 * (1.0 + float(cands[-1]))

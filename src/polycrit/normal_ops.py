@@ -5,20 +5,26 @@ every degeneracy-one principal submatrix has characteristic polynomial
 proportional to the derivative: deleting a row and column differentiates
 the spectrum.  Spectral variation, Gauss-Lucas weights, and interlacing
 ratios quantify how submatrix spectra sit inside the parent spectrum.
+Submatrix spectra come from the Gauss-Lucas partial-fraction identity on
+one Schur form; char_poly serves the differentiator identity itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .lp import in_convex_hull
-from .metrics import bottleneck_assignment
-from .poly import Polynomial, RootSet, cluster_points
+from .poly import DEFAULT_CLUSTER_TOL, Polynomial, RootSet, cluster_indices
 
 NORMALITY_TOL = 1e-9
 CHAR_POLY_MAX = 32
+COMPRESSION_MAX = 32
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MAX = 60
+_SHAKY = 1e-3  # a start whose Newton step exceeds this share of its gap may be multiple
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,11 @@ class NormalMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        # one Schur form per matrix serves every deletion index
+        return _orthonormal_eigenbasis(self.entries)
 
 
 def as_normal(matrix, tol: float = NORMALITY_TOL) -> NormalMatrix:
@@ -123,28 +134,187 @@ class SpectrumPair:
     source_index: int
 
 
+class CompressionSpectrumError(ValueError):
+    """A free eigenvalue of a compression failed its backward-error check
+    in the final Newton polish; carries the point, residual and budget."""
+
+    def __init__(self, point: complex, residual: float, budget: float):
+        super().__init__(
+            f"compression free-zero polish: residual {residual:.3e} exceeds "
+            f"budget {budget:.3e} at z = {point:.6g}"
+        )
+        self.point = point
+        self.residual = residual
+        self.budget = budget
+
+
+def _parent_clusters(A: NormalMatrix, i: int, tol: float):
+    """Distinct eigenvalues of A at tol (lex-sorted centroids mu), their
+    multiplicities and their aggregated Gauss-Lucas weights W for index i,
+    all from the one Schur form of A."""
+    lam, Z = A._eigenbasis
+    label = np.empty(len(lam), dtype=int)
+    for k, g in enumerate(cluster_indices(lam, tol)):
+        label[g] = k
+    mult = np.bincount(label)
+    mu = (np.bincount(label, lam.real) + 1j * np.bincount(label, lam.imag)) / mult
+    W = np.bincount(label, np.abs(Z[i, :]) ** 2)
+    order = np.lexsort((mu.imag, mu.real))
+    return mu[order], mult[order], W[order]
+
+
+def _gamma(K: int, k: int) -> float:
+    """Rounding factor of g_k summed over K poles."""
+    return 4.0 * (K + 2 * k + 4) * _EPS
+
+
+def _pf(x: np.ndarray, mu: np.ndarray, W: np.ndarray, k: int):
+    """g_k(x) = sum W / (x - mu)^(k+1), so f^(k) = (-1)^k k! g_k for
+    f(z) = sum W / (z - mu), with the backward-error budget of each value:
+    gamma * (sum W |x-mu|^(-k-1) + (|x| + |mu|) sum W |x-mu|^(-k-2)).
+    Also returns the powers 1 / (x - mu)^(k+1) and 1 / (x - mu)."""
+    inv = 1.0 / (x[:, None] - mu)
+    p = inv ** (k + 1)
+    a = np.abs(p)
+    spread = (np.abs(x)[:, None] + np.abs(mu)) * np.abs(inv)
+    budget = _gamma(len(mu), k) * ((a + a * spread) @ W)
+    return p @ W, budget, p, inv
+
+
+def _newton(x: np.ndarray, mu, W, m: int):
+    """Newton on f^(m-1) from the points x, where an m-fold zero of f is a
+    simple zero, until every residual meets its budget (a start that
+    already does is as accurate as the data allow and is not moved).
+    Returns the points with |g_(m-1)| and its budget there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_NEWTON_MAX + 1):
+            val, budget, p, inv = _pf(x, mu, W, m - 1)
+            if it == _NEWTON_MAX or np.all(np.abs(val) <= budget):
+                break
+            x = x + val / (m * ((p * inv) @ W))
+    return x, np.abs(val), budget
+
+
+def _single_linkage(points: np.ndarray):
+    """Single-linkage merge tree: a leaf is a point index, an inner node
+    the pair of subtrees joined at the next-shortest distance."""
+    n = len(points)
+    iu, ju = np.triu_indices(n, 1)
+    owner = list(range(n))
+    trees: dict[int, object] = {j: j for j in range(n)}
+    for e in np.argsort(np.abs(points[iu] - points[ju]), kind="stable"):
+        a, b = owner[iu[e]], owner[ju[e]]
+        if a != b:
+            trees[a] = (trees[a], trees.pop(b))
+            owner = [a if o == b else o for o in owner]
+    return trees[owner[0]]
+
+
+def _leaves(tree) -> list[int]:
+    return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attached clusters and the free zeros of f(z) = sum W / (z - mu).
+
+    A cluster whose weight is too small to move its free zero off mu by a
+    representable amount (e_i orthogonal to its eigenspace, up to
+    rounding) is detached: it keeps its full multiplicity and leaves f.
+    The free zeros start as LAPACK eigenvalues of diag(mu) compressed to
+    the complement of sqrt(W), whose characteristic polynomial is the
+    numerator of f.  A start whose Newton correction is not small against
+    its distance to the other starts may belong to a multiple zero; such
+    starts are merged top-down along their single-linkage tree, an
+    m-fold merge being Newton on f^(m-1) from the centroid, accepted only
+    when f, ..., f^(m-1) all vanish within their budgets there.  Every
+    other start is polished by Newton on f until it meets the budget of
+    f, or raises CompressionSpectrumError.
+    """
+    K = len(mu)
+    rho = float(np.abs(mu).max())
+    d = mu[:, None] - mu
+    np.fill_diagonal(d, np.inf)
+    attached = W > _gamma(K, 0) * rho * np.abs((1.0 / d) @ W)
+    mu, W = mu[attached], W[attached]
+    K = len(mu)
+    if K < 2:
+        return attached, np.empty(0, dtype=complex)
+    u = np.sqrt(W / W.sum())
+    u[0] += 1.0
+    Q = np.eye(K)[:, 1:] - u[:, None] * u[1:] * (2.0 / (u @ u))
+    z = np.linalg.eigvals((Q.T * mu) @ Q).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val, _, p, inv = _pf(z, mu, W, 0)
+        step = np.abs(val / ((p * inv) @ W))
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    shaky = np.flatnonzero(~(step <= _SHAKY * gaps.min(axis=1)))
+    done = np.zeros(len(z), dtype=bool)
+
+    def merge(tree) -> None:
+        idx = shaky[_leaves(tree)]
+        if len(idx) == 1:
+            return
+        m = len(idx)
+        centroid = z[idx].mean()
+        x, res, budget = _newton(np.array([centroid]), mu, W, m)
+        diameter = np.abs(z[idx, None] - z[idx]).max()
+        ok = res[0] <= budget[0] and abs(x[0] - centroid) <= diameter
+        for k in range(m - 1):
+            if not ok:
+                break
+            val, bk = _pf(x, mu, W, k)[:2]
+            ok = abs(val[0]) <= bk[0]
+        if ok:
+            z[idx] = x[0]
+            done[idx] = True
+        else:
+            merge(tree[0])
+            merge(tree[1])
+
+    if len(shaky) > 1:
+        merge(_single_linkage(z[shaky]))
+    rest = np.flatnonzero(~done)
+    x, res, budget = _newton(z[rest], mu, W, 1)
+    bad = np.flatnonzero(~(res <= budget))
+    if len(bad):
+        j = bad[np.argmax(res[bad] - budget[bad])]
+        raise CompressionSpectrumError(complex(x[j]), float(res[j]), float(budget[j]))
+    z[rest] = x
+    return attached, z
+
+
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     """Spectra of A and of A with row/column i deleted, in RootSet format
     (lex-sorted, a k-fold eigenvalue as its cluster centroid repeated k
     times).
 
-    The parent spectrum comes from LAPACK: A is certified normal, so by
-    Bauer-Fike every eigenvalue, multiple ones included, has condition
-    number 1 and a backward-stable eigensolver is as accurate as the
-    spectrum allows.  The submatrix need not be normal and can be
-    defective (the compression of scaled roots of unity is nilpotent);
-    there an eigensolver splits an m-fold eigenvalue into a ring of radius
-    about eps^(1/m), so that spectrum goes through the characteristic
-    polynomial and the root finder, whose polish restores multiplicities.
-    The order of A stays capped at CHAR_POLY_MAX, as when both spectra
-    went through char_poly, so the accepted orders do not change.
+    Both come from one Schur form A = Z diag(lambda) Z* and the paper's
+    Gauss-Lucas identity
+
+        det(zI - A_[i]) / det(zI - A) = sum_j w_j / (z - lambda_j),
+        w_j = |Z_ij|^2.
+
+    The parent spectrum is the Schur diagonal (A is certified normal, so
+    by Bauer-Fike every eigenvalue has condition number 1).  Cluster the
+    parent spectrum at the RootSet tolerance: a cluster mu_k of size m_k
+    with aggregated weight W_k leaves m_k - 1 forced copies of mu_k in the
+    submatrix (all m_k when W_k vanishes), and the other eigenvalues are
+    the free zeros of sum W_k / (z - mu_k), found by _free_zeros without
+    forming any characteristic polynomial.  The submatrix can be defective
+    (the compression of scaled roots of unity is nilpotent); its multiple
+    free eigenvalues come back as exactly repeated points.  The order of
+    A is capped at COMPRESSION_MAX.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    if A.n > CHAR_POLY_MAX:
-        raise ValueError(f"matrix order {A.n} exceeds char_poly cap {CHAR_POLY_MAX}")
-    full = RootSet.from_points(np.linalg.eigvals(A.entries)).points
-    sub = char_poly(principal_submatrix(A.entries, i)).find_roots().points
+    if A.n > COMPRESSION_MAX:
+        raise ValueError(f"matrix order {A.n} exceeds compression order cap {COMPRESSION_MAX}")
+    mu, mult, W = _parent_clusters(A, i, DEFAULT_CLUSTER_TOL)
+    attached, free = _free_zeros(mu, W)
+    forced = np.repeat(mu, np.where(attached, mult - 1, mult))
+    full = tuple(np.repeat(mu, mult))
+    sub = RootSet.from_points(np.concatenate([forced, free])).points
     return SpectrumPair(eig_full=full, eig_sub=sub, source_index=i)
 
 
@@ -161,10 +331,10 @@ def spectral_radius(E) -> float:
     return float(np.abs(np.asarray(E, dtype=complex)).max())
 
 
-def _orthonormal_eigenbasis(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors via the complex Schur form,
     which is diagonal exactly when the matrix is normal."""
-    T, Z = scipy.linalg.schur(A.entries, output="complex")
+    T, Z = scipy.linalg.schur(entries, output="complex")
     off = np.abs(T - np.diag(np.diagonal(T))).max()
     if off > 1e-7:
         raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off:.3e})")
@@ -182,7 +352,7 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    eigvals, Z = _orthonormal_eigenbasis(A)
+    eigvals, Z = A._eigenbasis
     weights = np.abs(Z[i, :]) ** 2
     sub = principal_submatrix(A.entries, i)
     n = A.n
@@ -200,48 +370,36 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
 def interlace_ratios(A: NormalMatrix, i: int, cluster_tol: float = 1e-6) -> np.ndarray:
     """Nonnegative ratios generalizing Cauchy interlacing to normal matrices.
 
-    For each distinct eigenvalue z_k (multiplicity n_k) the submatrix keeps
-    forced copies of multiplicity n_k - 1; the remaining m-1 free points
-    w_j form the ratio prod_j (w_j - z_k) / prod_{l != k} (z_l - z_k),
-    which equals n_k |<u_i, e_k>|^2 >= 0.
+    For each distinct eigenvalue z_k (multiplicity n_k, clustered at
+    cluster_tol) the submatrix keeps forced copies of multiplicity
+    n_k - 1; the remaining m-1 free points w_j form the ratio
+    prod_j (w_j - z_k) / prod_{l != k} (z_l - z_k), which equals the
+    aggregated weight sum |<u_i, e>|^2 over the eigenspace of z_k, >= 0.
+    The forced/free split is the one compression_spectrum uses; an
+    eigenvalue whose eigenspace is orthogonal to e_i keeps all n_k copies,
+    so one of them counts as free and its ratio is 0.
     """
-    pair = compression_spectrum(A, i)
-    clusters = cluster_points(pair.eig_full, cluster_tol)
-    centers = [c for c, _ in clusters]
-    mults = [m for _, m in clusters]
-    if len(centers) > 1:
-        gaps = [
-            abs(centers[a] - centers[b])
-            for a in range(len(centers))
-            for b in range(a + 1, len(centers))
-        ]
+    if not 0 <= i < A.n:
+        raise ValueError("index out of range")
+    centers, _, W = _parent_clusters(A, i, cluster_tol)
+    m = len(centers)
+    if m > 1:
+        gaps = np.abs(centers[:, None] - centers)[np.triu_indices(m, 1)]
         # a gap barely above the clustering scale cannot be reliably told
         # apart from a multiplicity, so refuse the gray zone
-        if min(gaps) < 10 * cluster_tol:
-            raise ValueError(f"clustering ambiguity: distinct eigenvalue gap {min(gaps):.3e}")
-    forced: list[complex] = []
-    for c, m in zip(centers, mults):
-        forced.extend([c] * (m - 1))
-    sub = list(pair.eig_sub)
-    free = sub
-    if forced:
-        # peel the forced copies off the submatrix spectrum (bottleneck matching)
-        matched, assignment = bottleneck_assignment(forced, sub)
-        if matched > 1e2 * cluster_tol:
-            raise ValueError(f"forced multiplicities not visible in submatrix ({matched:.3e})")
-        taken = set(assignment)
-        free = [w for j, w in enumerate(sub) if j not in taken]
-    m = len(centers)
+        if gaps.min() < 10 * cluster_tol:
+            raise ValueError(f"clustering ambiguity: distinct eigenvalue gap {gaps.min():.3e}")
+    attached, free = _free_zeros(centers, W)
+    free = np.concatenate([free, centers[~attached]])
     out = np.empty(m)
-    for k, (zk, nk) in enumerate(zip(centers, mults)):
-        num = np.prod([wf - zk for wf in free]) if free else 1.0
-        den = np.prod([centers[l] - zk for l in range(m) if l != k]) if m > 1 else 1.0
+    for k, zk in enumerate(centers):
+        num = np.prod(free - zk)
+        den = np.prod(np.delete(centers, k) - zk)
         val = complex(num) / complex(den)
         if abs(val.imag) > 1e-8 * (1.0 + abs(val)):
             raise ValueError(f"ratio not numerically real: {val}")
         out[k] = val.real
     return out
-
 
 def eigvals_in_hull(pair: SpectrumPair, tol: float = 1e-8) -> bool:
     """Convex-hull containment of the submatrix spectrum in the parent's."""

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -282,14 +283,27 @@ class TestErrorPaths:
 
 
 class TestStartup:
+    @staticmethod
+    def _loaded(code: str) -> list[str]:
+        src = str(Path(polycrit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code += "; print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
     def test_cli_import_leaves_sparse_and_optimize_unloaded(self):
         # every CLI command is a cold process; scipy.sparse (csgraph) and
         # scipy.optimize are imported inside the functions that need them
-        src = str(Path(polycrit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = (
-            "import sys, polycrit.cli; "
-            "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))])"
+        assert self._loaded("import sys, polycrit.cli") == []
+
+    def test_normal_interlace_leaves_sparse_unloaded(self, tmp_path):
+        # interlacing ratios come from the forced/free split of the
+        # compression spectrum, not from a bottleneck matching; the double
+        # root gives a forced copy, which a matching would have peeled off
+        roots = disk_points(np.random.default_rng(6), 5)
+        path = tmp_path / "p6.json"
+        write_poly(path, Polynomial.from_roots(np.r_[roots[:1], roots]))
+        loaded = self._loaded(
+            f"import sys; from polycrit.cli import main; main(['normal', 'interlace', {str(path)!r}, '--index', '2'])"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert not [m for m in loaded if m.startswith("scipy.sparse")]

@@ -129,6 +129,10 @@ class TestDelta:
             b = disk_points(rng, n)
             assert abs(bottleneck_match(a, b) - bottleneck_brute(a, b)) <= 1e-14
 
+    @pytest.mark.parametrize("b", [[], [0.5, 1j]])
+    def test_empty_first_set(self, b):
+        assert bottleneck_assignment([], b) == (0.0, [])
+
     def test_rectangular_injection(self, rng):
         a = disk_points(rng, 3)
         b = disk_points(rng, 6)

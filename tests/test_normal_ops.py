@@ -1,7 +1,9 @@
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import Polynomial, sort_lex
@@ -141,7 +143,8 @@ class TestCompression:
 
 
 class TestParentSpectrum:
-    """eig_full comes from LAPACK; the submatrix spectrum from char_poly."""
+    """eig_full is the diagonal of the Schur form of A, snapped into the
+    RootSet format."""
 
     @staticmethod
     def _matrices(roots, n):
@@ -172,18 +175,128 @@ class TestParentSpectrum:
             assert list(full) == sort_lex(full)
 
     def test_order_cap_kept(self):
-        # the submatrix route alone would accept order 33 (a 32 x 32 char_poly)
         A = no.as_normal(np.diag(np.arange(33, dtype=complex)))
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="compression order cap 32"):
             no.compression_spectrum(A, 0)
+        assert len(no.compression_spectrum(no.as_normal(A.entries[:32, :32]), 0).eig_sub) == 31
 
     def test_nilpotent_compression_keeps_sevenfold_zero(self):
         # an eigensolver would split this defective 7-fold 0 into a ring of
-        # radius ~5e-3; the char_poly route returns one exactly repeated point
+        # radius ~5e-3; the merge on f^(6) returns one exactly repeated point
         A = no.normal_from_roots(roots_of_unity(8, radius=0.8))
         sub = no.compression_spectrum(A, 0).eig_sub
         assert len(sub) == 7 and len(set(sub)) == 1
         assert abs(sub[0]) <= 1e-14
+
+
+def _householder_with_first_row(weights):
+    """Real symmetric orthogonal H whose first row is sqrt(weights)."""
+    u = np.sqrt(np.asarray(weights, dtype=float))
+    u[0] -= 1.0
+    return np.eye(len(u)) - 2.0 * np.outer(u, u) / (u @ u)
+
+
+def _mp_eigvals(M):
+    with mpmath.workdps(40):
+        ev = mpmath.eig(mpmath.matrix(np.asarray(M).tolist()), left=False, right=False)
+    return np.array([complex(x) for x in ev])
+
+
+class TestCompressionOracles:
+    """eig_sub from the Gauss-Lucas identity against independent routes."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_matches_mpmath_eigenvalues(self, n, rng):
+        A = no.random_normal(disk_points(rng, n), seed=n)
+        i = n // 3
+        sub = no.compression_spectrum(A, i).eig_sub
+        ref = _mp_eigvals(no.principal_submatrix(A.entries, i))
+        assert len(sub) == n - 1
+        assert bottleneck_match(sub, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("pattern", ["simple", "double", "triple"])
+    def test_matches_char_poly_route(self, n, pattern, rng):
+        d = disk_points(rng, n, min_sep=5e-2)
+        if pattern == "double" and n >= 3:
+            d[1] = d[0]
+        if pattern == "triple" and n >= 4:
+            d[1] = d[2] = d[0]
+        mult = max(Counter(d.tolist()).values())
+        for A in (no.random_normal(d, seed=n), no.normal_from_roots(d)):
+            for i in {0, n - 1}:
+                sub = no.compression_spectrum(A, i).eig_sub
+                old = no.char_poly(no.principal_submatrix(A.entries, i)).find_roots().points
+                assert bottleneck_match(sub, old) <= 1e-9
+                # the forced copies of a repeated parent eigenvalue are exact
+                forced = sorted(Counter(sub).values())[-1]
+                assert forced >= mult - 1
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_nilpotent_family_exact_repeats(self, n):
+        A = no.normal_from_roots(roots_of_unity(n, radius=0.8))
+        sub = no.compression_spectrum(A, n // 2).eig_sub
+        assert len(sub) == n - 1 and len(set(sub)) == 1
+        assert abs(sub[0]) <= 1e-14
+
+    def test_orthogonal_eigenspace_keeps_full_multiplicity(self):
+        # e_0 lies in the first block, so the second block's eigenvalues
+        # (0.5 twice, and 2j shared with the first block) are not moved
+        B = no.random_normal(np.array([1.0, 2j, -1.0]), seed=7).entries
+        A = no.as_normal(scipy.linalg.block_diag(B, np.diag([0.5, 0.5, 2j])))
+        sub = np.array(no.compression_spectrum(A, 0).eig_sub)
+        assert Counter(sub.tolist())[0.5] == 2
+        assert np.count_nonzero(np.abs(sub - 2j) <= 1e-12) == 1
+        ref = _mp_eigvals(no.principal_submatrix(A.entries, 0))
+        assert bottleneck_match(sub, ref) <= 1e-12
+        # its interlacing ratio, the weight of its eigenspace, is exactly 0
+        ratios = no.interlace_ratios(A, 0)
+        assert ratios[sort_lex([1.0, 2j, -1.0, 0.5]).index(0.5)] == 0.0
+        assert abs(ratios.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("tiny", [1e-24, 1e-16, 1e-10])
+    def test_small_weights(self, tiny, rng):
+        mu = disk_points(rng, 7, min_sep=5e-2)
+        w = rng.uniform(0.5, 1.0, 7)
+        w[2] = w[5] = tiny
+        H = _householder_with_first_row(w / w.sum())
+        A = no.as_normal(H @ np.diag(mu) @ H)
+        sub = no.compression_spectrum(A, 0).eig_sub
+        assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 0))) <= 1e-12
+
+    @pytest.mark.parametrize("screen", [no._SHAKY, 0.0])
+    def test_near_double_free_zero_not_merged(self, screen, monkeypatch):
+        # p' has a double zero split by 1e-5: the two free eigenvalues stay
+        # apart, where a merge within a gap tolerance would join them; with
+        # a zero screen every start is offered for merging, and the budget
+        # on f must refuse
+        monkeypatch.setattr(no, "_SHAKY", screen)
+        c = 0.2 + 0.1j
+        crit = np.array([c + 5e-6, c - 5e-6, -0.5 + 0.3j, 0.1 - 0.6j])
+        coeffs = [mpmath.mpc(x) for x in np.polyint(5 * np.poly(crit))]
+        coeffs[-1] = mpmath.mpc(0.05, -0.1)
+        with mpmath.workdps(50):
+            roots = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)]
+        sub = no.compression_spectrum(no.normal_from_roots(roots), 0).eig_sub
+        assert len(set(sub)) == 4
+        assert bottleneck_match(sub, crit) <= 1e-9
+
+    def test_polish_recovers_perturbed_starts(self, monkeypatch, rng):
+        # LAPACK starts off by 1e-6 fail the budget of f; Newton on f must
+        # bring them back to the accuracy of the unperturbed route
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals(M) * (1 + 1e-6))
+        A = no.random_normal(disk_points(rng, 16), seed=16)
+        sub = no.compression_spectrum(A, 5).eig_sub
+        assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 5))) <= 1e-12
+
+    def test_uncertified_free_zero_names_stage(self, monkeypatch, rng):
+        monkeypatch.setattr(no, "_gamma", lambda K, k: 0.0)
+        A = no.random_normal(disk_points(rng, 6), seed=3)
+        with pytest.raises(no.CompressionSpectrumError, match="free-zero polish") as err:
+            no.compression_spectrum(A, 0)
+        assert isinstance(err.value, ValueError)
+        assert err.value.residual > err.value.budget == 0.0
 
 
 class TestSpectralVariation:
