@@ -11,25 +11,24 @@ one Schur form; char_poly serves the differentiator identity itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
 
 from .lp import in_convex_hull
+from . import poly
 from .poly import DEFAULT_CLUSTER_TOL, Polynomial, RootSet, cluster_indices
 
 NORMALITY_TOL = 1e-9
 CHAR_POLY_MAX = 32
 COMPRESSION_MAX = 32
-_EPS = float(np.finfo(float).eps)
-_NEWTON_MAX = 60
-_SHAKY = 1e-3  # a start whose Newton step exceeds this share of its gap may be multiple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalMatrix:
-    """Dense complex matrix certified normal at construction."""
+    """Dense complex matrix certified normal at construction; equality is
+    identity, since entries is an array."""
 
     entries: np.ndarray
     normality_residual: float
@@ -48,6 +47,8 @@ def as_normal(matrix, tol: float = NORMALITY_TOL) -> NormalMatrix:
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
+    if not np.isfinite(A).all():
+        raise ValueError("normality check: matrix has non-finite entries")
     res = float(np.abs(A @ A.conj().T - A.conj().T @ A).max())
     if res > tol:
         raise ValueError(f"matrix is not normal within tolerance: residual {res:.3e}")
@@ -163,55 +164,21 @@ def _parent_clusters(A: NormalMatrix, i: int, tol: float):
     return mu[order], mult[order], W[order]
 
 
-def _gamma(K: int, k: int) -> float:
-    """Rounding factor of g_k summed over K poles."""
-    return 4.0 * (K + 2 * k + 4) * _EPS
-
-
-def _pf(x: np.ndarray, mu: np.ndarray, W: np.ndarray, k: int):
-    """g_k(x) = sum W / (x - mu)^(k+1), so f^(k) = (-1)^k k! g_k for
-    f(z) = sum W / (z - mu), with the backward-error budget of each value:
-    gamma * (sum W |x-mu|^(-k-1) + (|x| + |mu|) sum W |x-mu|^(-k-2)).
-    Also returns the powers 1 / (x - mu)^(k+1) and 1 / (x - mu)."""
+def _pf(mu: np.ndarray, W: np.ndarray, x: np.ndarray, k: int):
+    """Taylor callback of f(z) = sum W / (z - mu) for poly._resolve_multiple:
+    t_j(x) = f^(j)(x) / j! = (-1)^j sum W / (x - mu)^(j+1) for j = 0..k,
+    with the backward-error budget of each value,
+    gamma_j * (sum W |x-mu|^(-j-1) + (|x| + |mu|) sum W |x-mu|^(-j-2))."""
     inv = 1.0 / (x[:, None] - mu)
-    p = inv ** (k + 1)
-    a = np.abs(p)
-    spread = (np.abs(x)[:, None] + np.abs(mu)) * np.abs(inv)
-    budget = _gamma(len(mu), k) * ((a + a * spread) @ W)
-    return p @ W, budget, p, inv
-
-
-def _newton(x: np.ndarray, mu, W, m: int):
-    """Newton on f^(m-1) from the points x, where an m-fold zero of f is a
-    simple zero, until every residual meets its budget (a start that
-    already does is as accurate as the data allow and is not moved).
-    Returns the points with |g_(m-1)| and its budget there."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(_NEWTON_MAX + 1):
-            val, budget, p, inv = _pf(x, mu, W, m - 1)
-            if it == _NEWTON_MAX or np.all(np.abs(val) <= budget):
-                break
-            x = x + val / (m * ((p * inv) @ W))
-    return x, np.abs(val), budget
-
-
-def _single_linkage(points: np.ndarray):
-    """Single-linkage merge tree: a leaf is a point index, an inner node
-    the pair of subtrees joined at the next-shortest distance."""
-    n = len(points)
-    iu, ju = np.triu_indices(n, 1)
-    owner = list(range(n))
-    trees: dict[int, object] = {j: j for j in range(n)}
-    for e in np.argsort(np.abs(points[iu] - points[ju]), kind="stable"):
-        a, b = owner[iu[e]], owner[ju[e]]
-        if a != b:
-            trees[a] = (trees[a], trees.pop(b))
-            owner = [a if o == b else o for o in owner]
-    return trees[owner[0]]
-
-
-def _leaves(tree) -> list[int]:
-    return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
+    w = W * (1.0 + (np.abs(x)[:, None] + np.abs(mu)) * np.abs(inv))
+    t = np.empty((k + 1, len(x)), dtype=complex)
+    b = np.empty((k + 1, len(x)))
+    p = inv
+    for j in range(k + 1):
+        t[j] = p @ W
+        b[j] = poly._gamma(len(mu), j) * (np.abs(p) * w).sum(axis=1)
+        p = -p * inv
+    return t, b
 
 
 def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +189,8 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding) is detached: it keeps its full multiplicity and leaves f.
     The free zeros start as LAPACK eigenvalues of diag(mu) compressed to
     the complement of sqrt(W), whose characteristic polynomial is the
-    numerator of f.  A start whose Newton correction is not small against
-    its distance to the other starts may belong to a multiple zero; such
-    starts are merged top-down along their single-linkage tree, an
-    m-fold merge being Newton on f^(m-1) from the centroid, accepted only
-    when f, ..., f^(m-1) all vanish within their budgets there.  Every
+    numerator of f.  Starts that stalled around a multiple zero are
+    merged by poly._resolve_multiple, the resolver find_roots uses; every
     other start is polished by Newton on f until it meets the budget of
     f, or raises CompressionSpectrumError.
     """
@@ -234,7 +198,7 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = float(np.abs(mu).max())
     d = mu[:, None] - mu
     np.fill_diagonal(d, np.inf)
-    attached = W > _gamma(K, 0) * rho * np.abs((1.0 / d) @ W)
+    attached = W > poly._gamma(K, 0) * rho * np.abs((1.0 / d) @ W)
     mu, W = mu[attached], W[attached]
     K = len(mu)
     if K < 2:
@@ -243,39 +207,11 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u[0] += 1.0
     Q = np.eye(K)[:, 1:] - u[:, None] * u[1:] * (2.0 / (u @ u))
     z = np.linalg.eigvals((Q.T * mu) @ Q).astype(complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val, _, p, inv = _pf(z, mu, W, 0)
-        step = np.abs(val / ((p * inv) @ W))
-    gaps = np.abs(z[:, None] - z)
-    np.fill_diagonal(gaps, np.inf)
-    shaky = np.flatnonzero(~(step <= _SHAKY * gaps.min(axis=1)))
-    done = np.zeros(len(z), dtype=bool)
-
-    def merge(tree) -> None:
-        idx = shaky[_leaves(tree)]
-        if len(idx) == 1:
-            return
-        m = len(idx)
-        centroid = z[idx].mean()
-        x, res, budget = _newton(np.array([centroid]), mu, W, m)
-        diameter = np.abs(z[idx, None] - z[idx]).max()
-        ok = res[0] <= budget[0] and abs(x[0] - centroid) <= diameter
-        for k in range(m - 1):
-            if not ok:
-                break
-            val, bk = _pf(x, mu, W, k)[:2]
-            ok = abs(val[0]) <= bk[0]
-        if ok:
-            z[idx] = x[0]
-            done[idx] = True
-        else:
-            merge(tree[0])
-            merge(tree[1])
-
-    if len(shaky) > 1:
-        merge(_single_linkage(z[shaky]))
+    taylor = partial(_pf, mu, W)
+    z, done = poly._resolve_multiple(z, taylor)
     rest = np.flatnonzero(~done)
-    x, res, budget = _newton(z[rest], mu, W, 1)
+    x, t, b = poly._newton(z[rest], taylor, 1)
+    res, budget = np.abs(t[0]), b[0]
     bad = np.flatnonzero(~(res <= budget))
     if len(bad):
         j = bad[np.argmax(res[bad] - budget[bad])]

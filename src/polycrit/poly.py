@@ -6,6 +6,7 @@ families sit beside monic polynomials without special cases.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,14 +14,17 @@ import numpy as np
 
 LEADING_TOL = 1e-14
 DEFAULT_CLUSTER_TOL = 1e-8
-RESIDUAL_BUDGET = 1e-10  # |p(root)| <= RESIDUAL_BUDGET * (1 + max|coeff|)
 MAX_DEGREE = 64
 ABERTH_MAX_ITER = 500
-_POLISH_TOL = 1e-6  # cluster detection radius for the multiple-root polish
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_NEWTON_MAX = 60
+_SHAKY = 1e-3  # a point whose Newton step exceeds this share of its gap may be multiple
+_BINOM = np.array([[math.comb(i, j) for j in range(MAX_DEGREE + 1)] for i in range(MAX_DEGREE + 1)], dtype=float)
 
 
 class RootFindingError(RuntimeError):
-    """Root iteration exhausted its budget; carries the best iterate."""
+    """Roots failed their backward-error certificate; carries the best iterate."""
 
     def __init__(self, message: str, best: np.ndarray, residual: float):
         super().__init__(f"{message} (best residual {residual:.3e})")
@@ -98,15 +102,23 @@ def _derive(coeffs_ascending: np.ndarray) -> np.ndarray:
     return coeffs_ascending[1:] * np.arange(1, n + 1)
 
 
+def _gamma(n: int, k: int) -> float:
+    """Rounding factor of the k-th Taylor coefficient of a degree-n
+    polynomial or of a sum over n poles (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 5.1, with room for the Taylor weights)."""
+    return 4.0 * (n + 2 * k + 4) * _EPS
+
+
 def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
     """All roots of an ascending-coefficient polynomial at once.
 
     Aberth-Ehrlich simultaneous iteration.  Initial guesses sit on a circle
     of radius 1 + max_k |a_{n-k}/a_n|^{1/k}, rotated by a fixed offset so
-    symmetric root configurations cannot stall the iteration.  An m-fold
-    root converges linearly and its iterates plateau on a ring of radius
-    roughly eps^(1/m); callers polish them (see _polish_multiple) before
-    judging residuals.
+    symmetric root configurations cannot stall the iteration.  It stops one
+    step after every iterate z meets the backward-error bound |p(z)| <=
+    gamma_0 * sum |a_k| |z|^k, which makes z an exact root of a polynomial
+    within rounding of p.  The iterates of an m-fold root stall on a ring
+    of radius about eps^(1/m); find_roots merges them (_resolve_multiple).
     """
     c = np.asarray(coeffs, dtype=complex)
     deg = len(c) - 1
@@ -116,6 +128,7 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
         return np.array([-c[0] / c[1]])
     c = c / c[-1]
     dc = _derive(c)
+    abs_c = np.abs(c)
     radius = 1.0 + max(abs(c[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
     for _ in range(max_iter):
@@ -125,78 +138,142 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
         if stuck.any():
             z = np.where(stuck, z * (1 + 1e-9) + 1e-9, z)
             continue
+        met = np.all(np.abs(pv) <= _gamma(deg, 0) * _horner(abs_c, np.abs(z)) + _TINY)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - newton * repulsion
         denom = np.where(np.abs(denom) < 1e-280, 1e-280, denom)
-        step = newton / denom
-        z = z - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+        z = z - newton / denom
+        if met:
             break
     return z
 
 
+def _leja_order(points: np.ndarray) -> np.ndarray:
+    """Leja ordering: the point of largest modulus first, then each next
+    point maximises the product of its distances to those already taken."""
+    n = len(points)
+    order = np.empty(n, dtype=int)
+    score = np.zeros(n)
+    k = int(np.argmax(np.abs(points)))
+    for i in range(n):
+        order[i] = k
+        score += np.log(np.maximum(np.abs(points - points[k]), _TINY))
+        score[k] = -np.inf
+        k = int(np.argmax(score))
+    return order
+
+
 def _expand_roots(points) -> np.ndarray:
-    """Ascending coefficients of prod (z - p_i), by incremental convolution."""
+    """Ascending coefficients of prod (z - p_i), by incremental convolution
+    in Leja order (Reichel, BIT 1990), which keeps the partial products
+    well scaled up to the degree cap."""
+    pts = np.asarray(points, dtype=complex)
     c = np.array([1.0 + 0j])
-    for p in points:
+    for p in pts[_leja_order(pts)]:
         c = np.convolve(c, np.array([-p, 1.0 + 0j]))
     return c
 
 
-def _reconstruction_gap(points: np.ndarray, coeffs_monic: np.ndarray) -> float:
-    """Relative coefficient distance between prod (z - p_i) and the target."""
-    c = _expand_roots(points)
-    scale = max(1.0, float(np.abs(coeffs_monic).max()))
-    return float(np.abs(c - coeffs_monic).max() / scale)
+def _poly_taylor(coeffs: np.ndarray):
+    """Taylor callback of a polynomial for _resolve_multiple: orders 0..k
+    of t_j(x) = p^(j)(x) / j! = sum_i C(i, j) c_i x^(i-j), and their
+    backward-error budgets gamma_j * sum_i C(i, j) |c_i| |x|^(i-j) + tiny."""
+    n = len(coeffs) - 1
+
+    def taylor(x: np.ndarray, k: int):
+        t = np.zeros((k + 1, len(x)), dtype=complex)
+        b = np.full((k + 1, len(x)), _TINY)
+        for j in range(min(k, n) + 1):
+            row = coeffs[j:] * _BINOM[j : n + 1, j]
+            t[j] = _horner(row, x)
+            b[j] += _gamma(n, j) * _horner(np.abs(row), np.abs(x))
+        return t, b
+
+    return taylor
 
 
-def _polish_multiple(
-    z: np.ndarray, coeffs_monic: np.ndarray, scales=(_POLISH_TOL, 1e-4, 1e-2)
-) -> np.ndarray:
-    """Newton-polish iterate clusters that stalled on a multiple root.
+def _newton(x: np.ndarray, taylor, m: int):
+    """Newton on f^(m-1) from the points x, where an m-fold zero of f is a
+    simple zero, until every |t_(m-1)| meets its budget (a start that
+    already does is as accurate as the data allow and is not moved).
+    Returns the points with the Taylor orders 0..m and budgets there."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(_NEWTON_MAX + 1):
+            t, b = taylor(x, m)
+            if it == _NEWTON_MAX or np.all(np.abs(t[m - 1]) <= b[m - 1]):
+                break
+            x = x - t[m - 1] / (m * t[m])
+    return x, t, b
 
-    An m-fold root of p is a simple root of the (m-1)-th derivative, where
-    Newton regains quadratic convergence.  Iterates around an m-fold root
-    spread at radius ~ eps^(1/m), so clustering is attempted at a ladder
-    of scales.  A merge is accepted only when the coefficients rebuilt
-    from the merged multiset still reproduce the polynomial (expansion is
-    forward-stable, so this rejects every merge that is not a genuine
-    multiple root, at any degree).
+
+def _single_linkage(points: np.ndarray):
+    """Single-linkage merge tree: a leaf is a point index, an inner node
+    the pair of subtrees joined at the next-shortest distance."""
+    n = len(points)
+    iu, ju = np.triu_indices(n, 1)
+    owner = list(range(n))
+    trees: dict[int, object] = {j: j for j in range(n)}
+    for e in np.argsort(np.abs(points[iu] - points[ju]), kind="stable"):
+        a, b = owner[iu[e]], owner[ju[e]]
+        if a != b:
+            trees[a] = (trees[a], trees.pop(b))
+            owner = [a if o == b else o for o in owner]
+    return trees[owner[0]]
+
+
+def _leaves(tree) -> list[int]:
+    return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _resolve_multiple(z: np.ndarray, taylor) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the points of z that stalled around a multiple zero of f.
+
+    taylor(x, k) returns t_j(x) = f^(j)(x) / j! for j = 0..k and their
+    backward-error budgets.  A point whose Newton step, at least the
+    rounding level max(|t_0|, budget_0) / |t_1|, is not small against its
+    gap to the other points may be part of a multiple zero.  Such points
+    are merged top-down along their single-linkage tree: an m-fold merge
+    is Newton on f^(m-1) from the centroid, accepted when t_0..t_(m-1) all
+    meet their budgets and the zero lies within the cloud's diameter (or
+    twice the m-fold Newton step at a collapsed cloud); one more Newton
+    step sets the merged point.  Returns the points, merged ones exactly
+    repeated, and the mask of merged ones.
     """
-    derivs = [coeffs_monic]
-    for _ in range(len(coeffs_monic) - 1):
-        derivs.append(_derive(derivs[-1]))
-    out = z.copy()
-    gap = _reconstruction_gap(out, coeffs_monic)
-    for tol in scales:
-        for idx in cluster_indices(out, tol):
-            mult = len(idx)
-            if mult == 1:
-                continue
-            centroid = complex(np.mean(out[idx]))
-            g, dg = derivs[mult - 1], derivs[mult]
-            x = centroid
-            for _ in range(60):
-                gx = _horner(g, np.array([x]))[0]
-                dgx = _horner(dg, np.array([x]))[0]
-                if abs(dgx) < 1e-280:
-                    break
-                delta = gx / dgx
-                x -= delta
-                if abs(delta) <= 1e-16 * (1 + abs(x)):
-                    break
-            if abs(x - centroid) > 10 * tol:
-                continue
-            trial = out.copy()
-            trial[idx] = x
-            trial_gap = _reconstruction_gap(trial, coeffs_monic)
-            if trial_gap <= max(4.0 * gap, 1e-11):
-                out = trial
-                gap = trial_gap
-    return out
+    z = np.array(z, dtype=complex)
+    done = np.zeros(len(z), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t, b = taylor(z, 1)
+        step = np.maximum(np.abs(t[0]), b[0]) / np.abs(t[1])
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    shaky = np.flatnonzero(~(step <= _SHAKY * gaps.min(axis=1)))
+
+    def merge(tree) -> None:
+        idx = shaky[_leaves(tree)]
+        m = len(idx)
+        if m == 1:
+            return
+        centroid = z[idx].mean()
+        tc = taylor(np.array([centroid]), 1)[0][:, 0]
+        x, t, b = _newton(np.array([centroid]), taylor, m)
+        diameter = np.abs(z[idx, None] - z[idx]).max()
+        # reach max(diameter, 2m |t_0 / t_1|), scaled by |t_1| so t_1 = 0 needs no care
+        reach = max(diameter * abs(tc[1]), 2 * m * abs(tc[0]))
+        if abs(x[0] - centroid) * abs(tc[1]) <= reach and np.all(np.abs(t[:m, 0]) <= b[:m, 0]):
+            last = t[m - 1, 0] / (m * t[m, 0])
+            z[idx] = x[0] - last if np.isfinite(last) else x[0]
+            done[idx] = True
+        else:
+            merge(tree[0])
+            merge(tree[1])
+
+    if len(shaky) > 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            merge(_single_linkage(z[shaky]))
+    return z, done
 
 
 @dataclass(frozen=True)
@@ -207,11 +284,11 @@ class RootSet:
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     @classmethod
-    def from_points(cls, points, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> "RootSet":
-        """Snap raw points: each tol-cluster becomes its centroid repeated
-        with its multiplicity, and the multiset is lex-sorted."""
-        merged = [c for c, mult in cluster_points(points, cluster_tol) for _ in range(mult)]
-        return cls(tuple(np.array(sort_lex(merged))), cluster_tol=cluster_tol)
+    def from_points(cls, points) -> "RootSet":
+        """Snap raw points: each cluster at DEFAULT_CLUSTER_TOL becomes its
+        centroid repeated with its multiplicity, and the multiset is lex-sorted."""
+        merged = [c for c, mult in cluster_points(points, DEFAULT_CLUSTER_TOL) for _ in range(mult)]
+        return cls(tuple(np.array(sort_lex(merged))))
 
     def clusters(self) -> list[tuple[complex, int]]:
         return cluster_points(self.points, self.cluster_tol)
@@ -229,8 +306,8 @@ class Polynomial:
 
     Invariants: len(coeffs) == degree + 1 and the leading coefficient has
     magnitude > 1e-14 unless the degree is zero.  The instance is frozen,
-    so its derivative and default-argument roots are computed once and
-    kept; equality and hashing see the coefficients only.
+    so its derivative and roots are computed once and kept; equality and
+    hashing see the coefficients only.
     """
 
     coeffs: tuple[complex, ...]
@@ -247,10 +324,8 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, points) -> "Polynomial":
-        """Monic polynomial with exactly the given roots (with multiplicity).
-
-        Coefficient expansion by incremental convolution with (z - p).
-        """
+        """Monic polynomial with exactly the given roots (with multiplicity),
+        expanded by convolution with (z - p) in Leja order."""
         pts = [complex(p) for p in points]
         if not pts:
             raise ValueError("degree zero unsupported: from_roots needs at least one root")
@@ -308,50 +383,38 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         return self.scaled(1.0 / self.coeffs[-1])
 
-    def find_roots(
-        self,
-        cluster_tol: float = DEFAULT_CLUSTER_TOL,
-        max_iter: int = ABERTH_MAX_ITER,
-    ) -> RootSet:
-        """All roots with multiplicity, residual-checked.
+    def find_roots(self) -> RootSet:
+        """All roots with multiplicity, certified by backward error.
 
-        Multiple roots are reported as their cluster centroid repeated, after
-        a Newton polish on the appropriate derivative.  Raises
-        RootFindingError when max |p(root)| exceeds 1e-10 * (1 + max|coeff|).
+        Aberth iteration runs until every iterate meets the bound
+        |p(z)| <= gamma_0 * sum |c_k| |z|^k; iterates stalled around a
+        multiple root are merged by Newton on the matching derivative and
+        reported as one point repeated.  Raises RootFindingError unless
+        every returned point meets the bound.
 
-        At the default arguments the result is memoized on the instance:
-        every call returns the same RootSet, which is immutable and shared
-        by all callers.  A non-default cluster_tol or max_iter computes
-        afresh, and a failure is never cached, so it is raised again on
-        every call.
+        The result is memoized on the instance: every call returns the
+        same RootSet, which is immutable and shared by all callers.  A
+        failure is never cached, so it is raised again on every call.
         """
-        if cluster_tol == DEFAULT_CLUSTER_TOL and max_iter == ABERTH_MAX_ITER:
-            return self._default_roots
-        return self._compute_roots(cluster_tol, max_iter)
+        return self._roots
 
     @cached_property
-    def _default_roots(self) -> RootSet:
-        return self._compute_roots(DEFAULT_CLUSTER_TOL, ABERTH_MAX_ITER)
-
-    def _compute_roots(self, cluster_tol: float, max_iter: int) -> RootSet:
+    def _roots(self) -> RootSet:
         if self.degree < 1:
             raise ValueError("degree >= 1 required for root finding")
         c = np.array(self.coeffs)
-        z = aberth_roots(c, max_iter=max_iter)
-        # fixed polish rungs catch ordinary multiple roots; the data-driven
-        # rungs catch high multiplicities whose iterates stall in a wide
-        # noise ball (the certificate rejects all other merges)
-        spread = float(np.abs(z[:, None] - z[None, :]).max()) if len(z) > 1 else 0.0
-        ladder = (_POLISH_TOL, 1e-4, 1e-2) + tuple(
-            spread * f for f in (0.02, 0.1, 0.5, 1.1) if spread * f > 1e-2
-        )
-        z = _polish_multiple(z, c / c[-1], scales=ladder)
-        roots = RootSet.from_points(z, cluster_tol)
+        taylor = _poly_taylor(c)
+        z, _ = _resolve_multiple(aberth_roots(c), taylor)
+        roots = RootSet.from_points(z)
         pts = roots.as_array()
-        scale = 1.0 + max(abs(x) for x in self.coeffs)
-        residual = float(np.abs(_horner(c, pts)).max())
-        if residual > RESIDUAL_BUDGET * scale:
-            raise RootFindingError("root iteration did not meet residual budget", pts, residual)
+        t, b = taylor(pts, 0)
+        if not np.all(np.abs(t[0]) <= b[0]):
+            worst = int(np.argmax(np.abs(t[0]) / b[0]))
+            raise RootFindingError(
+                f"root {pts[worst]:.6g} does not meet its backward-error bound {b[0, worst]:.3e}",
+                pts,
+                float(abs(t[0, worst])),
+            )
         return roots
 
 

@@ -8,6 +8,7 @@ import scipy.linalg
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import Polynomial, sort_lex
 from polycrit import normal_ops as no
+from polycrit import poly
 
 from conftest import disk_points, roots_of_unity
 
@@ -141,6 +142,20 @@ class TestCompression:
         with pytest.raises(ValueError, match="not normal"):
             no.as_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN residual compares false against the tolerance, so the
+        # entries are checked before the residual
+        with pytest.raises(ValueError, match="normality check: matrix has non-finite entries"):
+            no.as_normal([[bad, 0.0], [0.0, 1.0]])
+
+    def test_equality_is_identity(self):
+        A, B = no.as_normal(np.eye(2)), no.as_normal(np.eye(2))
+        assert (A == B) is False and (A == A) is True and (A != B) is True
+        assert A._eigenbasis is A._eigenbasis
+        assert no.compression_spectrum(A, 0).eig_sub == (1.0 + 0j,)
+        assert no.compression_spectrum(A, 1).eig_sub == (1.0 + 0j,)
+
 
 class TestParentSpectrum:
     """eig_full is the diagonal of the Schur form of A, snapped into the
@@ -264,13 +279,13 @@ class TestCompressionOracles:
         sub = no.compression_spectrum(A, 0).eig_sub
         assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 0))) <= 1e-12
 
-    @pytest.mark.parametrize("screen", [no._SHAKY, 0.0])
+    @pytest.mark.parametrize("screen", [poly._SHAKY, 0.0])
     def test_near_double_free_zero_not_merged(self, screen, monkeypatch):
         # p' has a double zero split by 1e-5: the two free eigenvalues stay
         # apart, where a merge within a gap tolerance would join them; with
         # a zero screen every start is offered for merging, and the budget
         # on f must refuse
-        monkeypatch.setattr(no, "_SHAKY", screen)
+        monkeypatch.setattr(poly, "_SHAKY", screen)
         c = 0.2 + 0.1j
         crit = np.array([c + 5e-6, c - 5e-6, -0.5 + 0.3j, 0.1 - 0.6j])
         coeffs = [mpmath.mpc(x) for x in np.polyint(5 * np.poly(crit))]
@@ -291,7 +306,7 @@ class TestCompressionOracles:
         assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 5))) <= 1e-12
 
     def test_uncertified_free_zero_names_stage(self, monkeypatch, rng):
-        monkeypatch.setattr(no, "_gamma", lambda K, k: 0.0)
+        monkeypatch.setattr(poly, "_gamma", lambda K, k: 0.0)
         A = no.random_normal(disk_points(rng, 6), seed=3)
         with pytest.raises(no.CompressionSpectrumError, match="free-zero polish") as err:
             no.compression_spectrum(A, 0)

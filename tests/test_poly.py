@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from polycrit.poly import (
     sort_lex,
 )
 
-from conftest import disk_points
+from conftest import disk_points, roots_of_unity
 
 
 def reference_disk_points(rng, n):
@@ -152,10 +153,12 @@ class TestFindRoots:
         scale = 1 + max(abs(c) for c in p.coeffs)
         assert np.abs(p(pts)).max() <= 1e-10 * scale
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         p = Polynomial.from_roots([0.4, -0.5, 0.1j])
+        aberth = poly.aberth_roots
+        monkeypatch.setattr(poly, "aberth_roots", lambda c: aberth(c, max_iter=1))
         with pytest.raises(RootFindingError) as err:
-            p.find_roots(max_iter=1)
+            p.find_roots()
         assert err.value.best is not None
         assert err.value.residual > 0
 
@@ -171,22 +174,12 @@ class TestMemo:
         assert p.derivative() is p.derivative()
         assert p.derivative().find_roots() is p.derivative().find_roots()
 
-    @pytest.mark.parametrize("kwargs", [{"cluster_tol": 1e-4}, {"max_iter": 300}])
-    def test_non_default_arguments_compute_fresh(self, kwargs):
-        p = Polynomial.from_roots([0.3, 0.3 + 1e-6, -0.5j, 0.7 + 0.1j])
-        default = p.find_roots()
-        got = p.find_roots(**kwargs)
-        assert got == Polynomial(p.coeffs).find_roots(**kwargs)
-        assert got is not p.find_roots(**kwargs)
-        assert p.find_roots() is default
-        assert default == Polynomial(p.coeffs).find_roots()
-
     def test_failure_is_not_cached(self, monkeypatch):
         p = Polynomial.from_roots([0.4, -0.5, 0.1j])
         calls = []
 
-        def wrong(coeffs, max_iter):
-            calls.append(max_iter)
+        def wrong(coeffs):
+            calls.append(coeffs)
             return np.zeros(3, dtype=complex)
 
         monkeypatch.setattr("polycrit.poly.aberth_roots", wrong)
@@ -204,6 +197,106 @@ class TestMemo:
         p.derivative().find_roots()
         assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
         assert {p: "memoized"}[q] == "memoized"
+
+
+def mp_expand(roots):
+    """Ascending coefficients of prod (z - r) expanded in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        c = [mpmath.mpc(1)]
+        for r in roots:
+            r = mpmath.mpc(r)
+            c = [-r * c[0]] + [c[i - 1] - r * c[i] for i in range(1, len(c))] + [c[-1]]
+        return np.array([complex(x) for x in c])
+
+
+def jittered_ring(seed, theta=1.0):
+    """Roots of z^64 + e^{i theta} z, each moved by 1e-3 in a seeded direction."""
+    rng = np.random.default_rng(seed)
+    base = np.r_[0.0, roots_of_unity(63, phase=(theta + np.pi) / 63)]
+    return base + 1e-3 * np.exp(2j * np.pi * rng.uniform(size=64))
+
+
+class TestLejaExpansion:
+    """from_roots at the degree cap against an exact-enough expansion."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", ["ring", "disk", "square"])
+    def test_degree_cap_matches_mpmath(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        roots = {
+            "ring": lambda: jittered_ring(seed),
+            "disk": lambda: poly.disk_points(rng, 64),
+            "square": lambda: rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64),
+        }[shape]()
+        ref = mp_expand(roots)
+        got = np.array(Polynomial.from_roots(roots).coeffs)
+        # in the given order the ring loses the polynomial (error ~4e-2)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_ring_roots_recovered(self):
+        roots = jittered_ring(0)
+        got = Polynomial.from_roots(roots).find_roots().as_array()
+        assert bottleneck_match(roots, got) <= 1e-12
+
+    def test_order_starts_at_largest_modulus(self):
+        pts = np.array([0.1, -2.0, 1.0, 1.0 + 1e-3])
+        order = poly._leja_order(pts)
+        assert sorted(order) == [0, 1, 2, 3]
+        assert order[0] == 1 and order[1] in (2, 3) and order[-1] in (2, 3)
+
+
+class TestCertificate:
+    """find_roots certifies each point by the backward-error bound
+    |p(z)| <= gamma_0 * sum |c_k| |z|^k, a bound relative to the sizes of
+    the terms rather than an absolute residual budget."""
+
+    def test_small_roots_not_collapsed(self):
+        # z (z^63 - 0.5^63): the coefficient of z is 1e-19, which an
+        # absolute budget mistakes for zero (one 64-fold root at 0)
+        roots = np.r_[0.0, roots_of_unity(63, radius=0.5)]
+        p = Polynomial.from_roots(roots)
+        got = p.find_roots()
+        assert {m for _, m in got.clusters()} == {1}
+        with mpmath.workdps(60):
+            ref = mpmath.polyroots([mpmath.mpc(c) for c in p.coeffs[::-1]], maxsteps=50, extraprec=60)
+        assert bottleneck_match(got.as_array(), [complex(r) for r in ref]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_degree_cap_square_certified(self, seed):
+        rng = np.random.default_rng(seed)
+        p = Polynomial.from_roots(rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64))
+        pts = p.find_roots().as_array()
+        assert len(pts) == 64
+        # backward error recomputed in 50-digit arithmetic
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpc(c) for c in p.coeffs]
+            for z in pts:
+                z = mpmath.mpc(z)
+                value = mpmath.polyval(coeffs[::-1], z)
+                terms = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+                assert abs(value) <= 1e-13 * terms
+
+    def test_backward_error_contract(self, rng):
+        p = Polynomial.from_roots(disk_points(rng, 24))
+        pts = p.find_roots().as_array()
+        terms = poly._horner(np.abs(np.array(p.coeffs)), np.abs(pts))
+        assert np.all(np.abs(p(pts)) <= poly._gamma(p.degree, 0) * terms)
+
+    @pytest.mark.parametrize("shift", [1e-6, 1e-9])
+    def test_shifted_roots_rejected(self, shift, monkeypatch):
+        p = Polynomial.from_roots([0.4, -0.5, 0.1j])
+        aberth = poly.aberth_roots
+        monkeypatch.setattr(poly, "aberth_roots", lambda c: aberth(c) + shift)
+        with pytest.raises(RootFindingError, match="backward-error bound"):
+            p.find_roots()
+
+    def test_false_double_root_rejected(self, monkeypatch):
+        # two distinct roots reported at their midpoint: the merge on p'
+        # must fail the budget of p, and the certificate must refuse it
+        p = Polynomial.from_roots([0.3, 0.3 + 1e-6, -0.5j])
+        monkeypatch.setattr(poly, "aberth_roots", lambda c: np.array([0.3 + 5e-7, 0.3 + 5e-7, -0.5j]))
+        with pytest.raises(RootFindingError):
+            p.find_roots()
 
 
 class TestInvariants:
