@@ -200,9 +200,7 @@ def strict_optimum(M) -> float:
     return _box_lp(M)[0]
 
 
-def strict_feasibility(
-    M, feas_tol: float = FEAS_TOL, margin_tol: float = MARGIN_TOL
-) -> FeasibilityCertificate:
+def strict_feasibility(M) -> FeasibilityCertificate:
     """Decide Re(M h) > 0 versus positive singularity of M.
 
     The box |Re h|, |Im h| <= 1 bounds the LP; its optimum t* is > 0 iff
@@ -215,9 +213,9 @@ def strict_feasibility(
         raise ValueError("matrix must be nonempty with finite entries")
     t_star, h = _box_lp(M)
 
-    if t_star > margin_tol:
+    if t_star > MARGIN_TOL:
         margin = float(np.min((M @ h).real))
-        if margin > margin_tol:
+        if margin > MARGIN_TOL:
             return FeasibilityCertificate(
                 Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin
             )
@@ -226,18 +224,18 @@ def strict_feasibility(
     A_mu = np.vstack([M.real.T, M.imag.T, np.ones((1, m))])
     b_mu = np.zeros(2 * n + 1)
     b_mu[-1] = 1.0
-    mu = eq_nonneg_feasibility(A_mu, b_mu, feas_tol=feas_tol)
+    mu = eq_nonneg_feasibility(A_mu, b_mu)
     if mu is not None:
         mu = np.maximum(mu, 0.0)
         mu /= mu.sum()
         margin = float(np.abs(mu @ M).max())
-        if margin <= feas_tol:
+        if margin <= FEAS_TOL:
             return FeasibilityCertificate(
                 Verdict.POSITIVELY_SINGULAR, None, tuple(float(v) for v in mu), margin
             )
     if t_star > 0:
         margin = float(np.min((M @ h).real))
-        if margin > margin_tol:
+        if margin > MARGIN_TOL:
             return FeasibilityCertificate(
                 Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin
             )

@@ -76,7 +76,7 @@ def tuple_W(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
     return ProductTuple(values=_subset_products(crit, alpha, k), alpha=complex(alpha), k=k)
 
 
-def check_majorization(X: ProductTuple, Y: ProductTuple, feas_tol: float = 1e-8):
+def check_majorization(X: ProductTuple, Y: ProductTuple):
     """Rectangularly stochastic R with X = R Y, or None when infeasible.
 
     Constraint families: row sums 1, column sums m/n, and the two real
@@ -103,7 +103,7 @@ def check_majorization(X: ProductTuple, Y: ProductTuple, feas_tol: float = 1e-8)
         b[m + n + i] = xv[i].real
         A[m + n + m + i, i * n : (i + 1) * n] = yv.imag
         b[m + n + m + i] = xv[i].imag
-    x = eq_nonneg_feasibility(A, b, feas_tol=feas_tol)
+    x = eq_nonneg_feasibility(A, b)
     if x is None:
         return None
     R = x.reshape(m, n)

@@ -21,6 +21,7 @@ from . import poly
 from .poly import DEFAULT_CLUSTER_TOL, Polynomial, RootSet, cluster_indices
 
 NORMALITY_TOL = 1e-9
+INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
 CHAR_POLY_MAX = 32
 COMPRESSION_MAX = 32
 
@@ -43,14 +44,14 @@ class NormalMatrix:
         return _orthonormal_eigenbasis(self.entries)
 
 
-def as_normal(matrix, tol: float = NORMALITY_TOL) -> NormalMatrix:
+def as_normal(matrix) -> NormalMatrix:
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
     if not np.isfinite(A).all():
         raise ValueError("normality check: matrix has non-finite entries")
     res = float(np.abs(A @ A.conj().T - A.conj().T @ A).max())
-    if res > tol:
+    if res > NORMALITY_TOL:
         raise ValueError(f"matrix is not normal within tolerance: residual {res:.3e}")
     return NormalMatrix(entries=A, normality_residual=res)
 
@@ -190,9 +191,10 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The free zeros start as LAPACK eigenvalues of diag(mu) compressed to
     the complement of sqrt(W), whose characteristic polynomial is the
     numerator of f.  Starts that stalled around a multiple zero are
-    merged by poly._resolve_multiple, the resolver find_roots uses; every
-    other start is polished by Newton on f until it meets the budget of
-    f, or raises CompressionSpectrumError.
+    merged by poly._resolve_multiple, the resolver find_roots uses, and
+    those merges are final; every other start is polished by Newton on f,
+    whose first step reuses the resolver's screen values, until it meets
+    the budget of f, or raises CompressionSpectrumError.
     """
     K = len(mu)
     rho = float(np.abs(mu).max())
@@ -208,9 +210,9 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Q = np.eye(K)[:, 1:] - u[:, None] * u[1:] * (2.0 / (u @ u))
     z = np.linalg.eigvals((Q.T * mu) @ Q).astype(complex)
     taylor = partial(_pf, mu, W)
-    z, done = poly._resolve_multiple(z, taylor)
+    z, done, (t, b) = poly._resolve_multiple(z, taylor)
     rest = np.flatnonzero(~done)
-    x, t, b = poly._newton(z[rest], taylor, 1)
+    x, t, b = poly._newton(z[rest], taylor, 1, (t[:, rest], b[:, rest]))
     res, budget = np.abs(t[0]), b[0]
     bad = np.flatnonzero(~(res <= budget))
     if len(bad):
@@ -222,8 +224,7 @@ def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     """Spectra of A and of A with row/column i deleted, in RootSet format
-    (lex-sorted, a k-fold eigenvalue as its cluster centroid repeated k
-    times).
+    (lex-sorted, a k-fold eigenvalue as one value repeated k times).
 
     Both come from one Schur form A = Z diag(lambda) Z* and the paper's
     Gauss-Lucas identity
@@ -239,8 +240,10 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     the free zeros of sum W_k / (z - mu_k), found by _free_zeros without
     forming any characteristic polynomial.  The submatrix can be defective
     (the compression of scaled roots of unity is nilpotent); its multiple
-    free eigenvalues come back as exactly repeated points.  The order of
-    A is capped at COMPRESSION_MAX.
+    free eigenvalues come back as exactly repeated points.  The merges of
+    poly._resolve_multiple alone decide their multiplicity: a free
+    eigenvalue next to a forced copy stays where it was found, however
+    close.  The order of A is capped at COMPRESSION_MAX.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
@@ -303,28 +306,31 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     return weights, float(worst)
 
 
-def interlace_ratios(A: NormalMatrix, i: int, cluster_tol: float = 1e-6) -> np.ndarray:
+def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     """Nonnegative ratios generalizing Cauchy interlacing to normal matrices.
 
     For each distinct eigenvalue z_k (multiplicity n_k, clustered at
-    cluster_tol) the submatrix keeps forced copies of multiplicity
+    INTERLACE_TOL) the submatrix keeps forced copies of multiplicity
     n_k - 1; the remaining m-1 free points w_j form the ratio
     prod_j (w_j - z_k) / prod_{l != k} (z_l - z_k), which equals the
     aggregated weight sum |<u_i, e>|^2 over the eigenspace of z_k, >= 0.
     The forced/free split is the one compression_spectrum uses; an
     eigenvalue whose eigenspace is orthogonal to e_i keeps all n_k copies,
-    so one of them counts as free and its ratio is 0.
+    so one of them counts as free and its ratio is 0.  Distinct
+    eigenvalues closer than 10 INTERLACE_TOL raise ValueError.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    centers, _, W = _parent_clusters(A, i, cluster_tol)
+    centers, _, W = _parent_clusters(A, i, INTERLACE_TOL)
     m = len(centers)
-    if m > 1:
-        gaps = np.abs(centers[:, None] - centers)[np.triu_indices(m, 1)]
-        # a gap barely above the clustering scale cannot be reliably told
-        # apart from a multiplicity, so refuse the gray zone
-        if gaps.min() < 10 * cluster_tol:
-            raise ValueError(f"clustering ambiguity: distinct eigenvalue gap {gaps.min():.3e}")
+    # a gap barely above the clustering scale cannot be reliably told
+    # apart from a multiplicity, so refuse the gray zone
+    near = [g for g in cluster_indices(centers, 10 * INTERLACE_TOL) if len(g) > 1]
+    if near:
+        raise ValueError(
+            f"clustering ambiguity: distinct eigenvalues {centers[near[0]]} "
+            f"closer than {10 * INTERLACE_TOL:.0e}"
+        )
     attached, free = _free_zeros(centers, W)
     free = np.concatenate([free, centers[~attached]])
     out = np.empty(m)

@@ -56,26 +56,11 @@ def cluster_indices(points, tol: float) -> list[list[int]]:
     """Index groups of points whose pairwise chains stay within tol.
 
     Transitive closure is intentional: a chain of nearby iterates coming
-    from one multiple root must land in a single cluster.
+    from one multiple root must land in a single cluster.  Each group is
+    the sorted leaves of one tree of the _single_linkage forest at tol,
+    and the groups are ordered by their first index.
     """
-    pts = [complex(p) for p in points]
-    m = len(pts)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(pts[i] - pts[j]) < tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    return sorted(sorted(_leaves(tree)) for tree in _single_linkage(points, tol))
 
 
 def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
@@ -195,40 +180,48 @@ def _poly_taylor(coeffs: np.ndarray):
     return taylor
 
 
-def _newton(x: np.ndarray, taylor, m: int):
+def _newton(x: np.ndarray, taylor, m: int, first=None):
     """Newton on f^(m-1) from the points x, where an m-fold zero of f is a
     simple zero, until every |t_(m-1)| meets its budget (a start that
     already does is as accurate as the data allow and is not moved).
+    first, when given, is taylor(x, m) already evaluated at the starts.
     Returns the points with the Taylor orders 0..m and budgets there."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_NEWTON_MAX + 1):
-            t, b = taylor(x, m)
+            t, b = taylor(x, m) if it or first is None else first
             if it == _NEWTON_MAX or np.all(np.abs(t[m - 1]) <= b[m - 1]):
                 break
             x = x - t[m - 1] / (m * t[m])
     return x, t, b
 
 
-def _single_linkage(points: np.ndarray):
-    """Single-linkage merge tree: a leaf is a point index, an inner node
-    the pair of subtrees joined at the next-shortest distance."""
-    n = len(points)
-    iu, ju = np.triu_indices(n, 1)
+def _single_linkage(points, tol: float = math.inf) -> list:
+    """Single-linkage merge forest of the points from the pairwise
+    distances shorter than tol: a leaf is a point index, an inner node the
+    pair of subtrees joined at the next-shortest distance (ties broken by
+    the index pair).  At the default tol, finite points form one tree."""
+    pts = [complex(p) for p in points]
+    n = len(pts)
+    edges = sorted(
+        (d, i, j) for i in range(n) for j in range(i + 1, n) if (d := abs(pts[i] - pts[j])) < tol
+    )
     owner = list(range(n))
     trees: dict[int, object] = {j: j for j in range(n)}
-    for e in np.argsort(np.abs(points[iu] - points[ju]), kind="stable"):
-        a, b = owner[iu[e]], owner[ju[e]]
+    for _, i, j in edges:
+        if len(trees) == 1:
+            break
+        a, b = owner[i], owner[j]
         if a != b:
             trees[a] = (trees[a], trees.pop(b))
             owner = [a if o == b else o for o in owner]
-    return trees[owner[0]]
+    return list(trees.values())
 
 
 def _leaves(tree) -> list[int]:
     return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
 
 
-def _resolve_multiple(z: np.ndarray, taylor) -> tuple[np.ndarray, np.ndarray]:
+def _resolve_multiple(z: np.ndarray, taylor):
     """Merge the points of z that stalled around a multiple zero of f.
 
     taylor(x, k) returns t_j(x) = f^(j)(x) / j! for j = 0..k and their
@@ -239,8 +232,10 @@ def _resolve_multiple(z: np.ndarray, taylor) -> tuple[np.ndarray, np.ndarray]:
     is Newton on f^(m-1) from the centroid, accepted when t_0..t_(m-1) all
     meet their budgets and the zero lies within the cloud's diameter (or
     twice the m-fold Newton step at a collapsed cloud); one more Newton
-    step sets the merged point.  Returns the points, merged ones exactly
-    repeated, and the mask of merged ones.
+    step sets the merged point.  These merges are final: no caller moves
+    or merges a returned point again.  Returns the points, merged ones
+    exactly repeated, the mask of merged ones, and the screen's (t, b) =
+    taylor(z, 1) at the input points, which the unmerged ones still hold.
     """
     z = np.array(z, dtype=complex)
     done = np.zeros(len(z), dtype=bool)
@@ -272,23 +267,25 @@ def _resolve_multiple(z: np.ndarray, taylor) -> tuple[np.ndarray, np.ndarray]:
 
     if len(shaky) > 1:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            merge(_single_linkage(z[shaky]))
-    return z, done
+            for tree in _single_linkage(z[shaky]):
+                merge(tree)
+    return z, done, (t, b)
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """Unordered multiset of complex points with a clustering tolerance."""
+    """Unordered multiset of complex points, lex-sorted, with the
+    tolerance clusters() groups them at.  An m-fold point is one value
+    repeated exactly m times, as the zero certifier returns it."""
 
     points: tuple[complex, ...]
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     @classmethod
     def from_points(cls, points) -> "RootSet":
-        """Snap raw points: each cluster at DEFAULT_CLUSTER_TOL becomes its
-        centroid repeated with its multiplicity, and the multiset is lex-sorted."""
-        merged = [c for c, mult in cluster_points(points, DEFAULT_CLUSTER_TOL) for _ in range(mult)]
-        return cls(tuple(np.array(sort_lex(merged))))
+        """The points lex-sorted and otherwise unchanged: multiplicity is
+        decided by _resolve_multiple alone."""
+        return cls(tuple(np.array(sort_lex(points))))
 
     def clusters(self) -> list[tuple[complex, int]]:
         return cluster_points(self.points, self.cluster_tol)
@@ -389,8 +386,10 @@ class Polynomial:
         Aberth iteration runs until every iterate meets the bound
         |p(z)| <= gamma_0 * sum |c_k| |z|^k; iterates stalled around a
         multiple root are merged by Newton on the matching derivative and
-        reported as one point repeated.  Raises RootFindingError unless
-        every returned point meets the bound.
+        reported as one point repeated.  That merge alone decides
+        multiplicity: nearby points it leaves apart are returned apart,
+        however close.  Raises RootFindingError unless every returned
+        point meets the bound.
 
         The result is memoized on the instance: every call returns the
         same RootSet, which is immutable and shared by all callers.  A
@@ -404,7 +403,7 @@ class Polynomial:
             raise ValueError("degree >= 1 required for root finding")
         c = np.array(self.coeffs)
         taylor = _poly_taylor(c)
-        z, _ = _resolve_multiple(aberth_roots(c), taylor)
+        z, _, _ = _resolve_multiple(aberth_roots(c), taylor)
         roots = RootSet.from_points(z)
         pts = roots.as_array()
         t, b = taylor(pts, 0)

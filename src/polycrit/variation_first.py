@@ -16,9 +16,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .lp import FeasibilityCertificate, strict_feasibility
 from .metrics import ON_CIRCLE_TOL
-from .poly import Polynomial, cluster_points, sort_lex
+from .poly import Polynomial, cluster_indices, cluster_points, sort_lex
 
-SIMPLE_TOL = 1e-6  # zeros/critical points count as simple above this separation
+SIMPLE_TOL = 1e-6  # zeros/critical points count as simple at this separation or more
 _GL_NODES, _GL_WEIGHTS = leggauss(32)
 
 
@@ -76,14 +76,6 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
     off_pts = sorted(crit[~on], key=lambda w: (abs(w - a), np.angle(w - a)))
     ordered = tuple(on_pts) + tuple(off_pts)
 
-    def simple(pts):
-        arr = np.array(pts)
-        if len(arr) < 2:
-            return True
-        d = np.abs(arr[:, None] - arr[None, :])
-        np.fill_diagonal(d, np.inf)
-        return bool(d.min() > SIMPLE_TOL)
-
     return VariationSetup(
         p=p,
         a=a,
@@ -91,7 +83,7 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
         crit=ordered,
         radius=radius,
         r=int(on.sum()),
-        generic=simple(zeros) and simple(ordered),
+        generic=all(len(cluster_indices(pts, SIMPLE_TOL)) == len(pts) for pts in (zeros, ordered)),
     )
 
 

@@ -279,6 +279,17 @@ class TestCompressionOracles:
         sub = no.compression_spectrum(A, 0).eig_sub
         assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 0))) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-12])
+    def test_free_eigenvalue_beside_forced_copy(self, t):
+        # the double eigenspace of 0.3+0.2i has weight t, so one free
+        # eigenvalue lies within about t of its forced copy; both are kept
+        # where they were found, not averaged into one point
+        mu = np.array([0.3 + 0.2j, 0.3 + 0.2j, -0.5 + 0.1j, 0.1 - 0.6j, 0.7j])
+        H = _householder_with_first_row(np.r_[t / 2, t / 2, np.full(3, (1 - t) / 3)])
+        A = no.as_normal(H @ np.diag(mu) @ H)
+        sub = no.compression_spectrum(A, 0).eig_sub
+        assert bottleneck_match(sub, _mp_eigvals(no.principal_submatrix(A.entries, 0))) <= 1e-14
+
     @pytest.mark.parametrize("screen", [poly._SHAKY, 0.0])
     def test_near_double_free_zero_not_merged(self, screen, monkeypatch):
         # p' has a double zero split by 1e-5: the two free eigenvalues stay

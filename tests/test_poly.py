@@ -9,6 +9,7 @@ from polycrit.poly import (
     Polynomial,
     RootFindingError,
     RootSet,
+    cluster_indices,
     cluster_points,
     reconstruction_error,
     sort_lex,
@@ -290,6 +291,13 @@ class TestCertificate:
         with pytest.raises(RootFindingError, match="backward-error bound"):
             p.find_roots()
 
+    @pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-12])
+    def test_tiny_distinct_pair_kept(self, s):
+        # (z - s)(z - 1.5 s): the certifier resolves both roots, which
+        # must come back apart, not averaged into one point at 1.25 s
+        got = np.sort(Polynomial.from_roots([s, 1.5 * s]).find_roots().as_array().real)
+        assert np.abs(got - [s, 1.5 * s]).max() <= 1e-12 * s
+
     def test_false_double_root_rejected(self, monkeypatch):
         # two distinct roots reported at their midpoint: the merge on p'
         # must fail the budget of p, and the certificate must refuse it
@@ -346,7 +354,47 @@ class TestValidation:
         clusters = cluster_points(chain, 1.5e-9)
         assert sorted(m for _, m in clusters) == [1, 3]
 
+    def test_from_points_only_sorts(self):
+        pts = [2e-9 + 0j, 0j, 1e-9 + 0j, 1e-9 + 0j]
+        assert RootSet.from_points(pts).points == (0j, 1e-9 + 0j, 1e-9 + 0j, 2e-9 + 0j)
+
     def test_rootset_len_and_array(self):
         rs = RootSet((1.0 + 0j, -1.0 + 0j))
         assert len(rs) == 2
         assert rs.as_array().dtype == complex
+
+
+class TestClusterIndices:
+    """cluster_indices against the connected components of the graph
+    d < tol (scipy.sparse.csgraph), on clouds built to stress the
+    single-linkage forest: chains, exact repeats, and pairs just inside
+    and just outside tol."""
+
+    TOL = 1e-3
+
+    @staticmethod
+    def _cloud(rng, n, tol):
+        pts = disk_points(rng, n)
+        for k in range(1, n):
+            kind = rng.integers(5)
+            turn = np.exp(2j * np.pi * rng.uniform())
+            if kind == 0:  # chain link: within tol of the previous point
+                pts[k] = pts[k - 1] + 0.9 * tol * turn
+            elif kind == 1:  # exact repeat of an earlier point
+                pts[k] = pts[rng.integers(k)]
+            elif kind == 2:  # pair on either side of tol
+                pts[k] = pts[rng.integers(k)] + tol * (1 + rng.choice([-1e-9, 1e-9])) * turn
+        return pts
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_matches_connected_components(self, n):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(5):
+            pts = self._cloud(rng, n, self.TOL)
+            _, label = connected_components(np.abs(pts[:, None] - pts) < self.TOL, directed=False)
+            groups = {}
+            for i, g in enumerate(label):
+                groups.setdefault(g, []).append(i)
+            assert cluster_indices(pts, self.TOL) == sorted(groups.values())
