@@ -1,13 +1,21 @@
 """Feasibility kernel: strict systems Re(M h) > 0 and nonnegative equality systems.
 
-Everything runs on a dense-tableau two-phase simplex with Bland's rule.
+A nonnegative equality system A x = b, x >= 0 (a rectangularly stochastic
+R with W = R Z, a positive-singularity witness mu >= 0 with mu^T M = 0,
+convex-hull membership) goes through one Lawson-Hanson active-set NNLS
+kernel (Solving Least Squares Problems, 1974, ch. 23): x >= 0 holds by
+construction, and the system counts as feasible only when the residual of
+the NNLS optimum vanishes to rounding.  At an infeasible optimum the
+residual r = b - A x satisfies A^T r <= 0 < b^T r, a Farkas certificate.
+
 The strict system is decided through the box LP
 
     max t   s.t.  Re(M h) >= t * 1,  |Re h_i| <= 1, |Im h_i| <= 1,
 
-whose optimum is strictly positive exactly when the strict system is
-solvable; otherwise the dual positive-singularity system (mu >= 0, not all
-zero, mu^T M = 0) is solved for the complementary certificate.
+on a dense-tableau two-phase simplex with Bland's rule.  Its optimum is
+strictly positive exactly when the strict system is solvable; otherwise
+the dual positive-singularity system (mu >= 0, not all zero, mu^T M = 0)
+is solved for the complementary certificate.
 """
 from __future__ import annotations
 
@@ -23,7 +31,22 @@ _MAX_PIVOTS = 50_000
 
 
 class SimplexIterationError(RuntimeError):
-    """Pivot cap exceeded (unreachable under Bland's rule on exact data)."""
+    """The box LP failed: its pivot cap was exceeded, or strict_feasibility
+    found neither a strict margin nor a singular certificate (a
+    numerically ambiguous instance)."""
+
+
+class NNLSIterationError(RuntimeError):
+    """The NNLS kernel hit its cap of 3n outer passes; carries the pass
+    count and the residual ||A x - b||_2 of the last iterate."""
+
+    def __init__(self, passes: int, residual: float):
+        super().__init__(
+            f"nnls: {passes} outer passes without meeting the optimality "
+            f"test; residual {residual:.3e}"
+        )
+        self.passes = passes
+        self.residual = residual
 
 
 class Verdict(str, Enum):
@@ -134,22 +157,92 @@ def solve_standard_form(A, b, c):
     return x, float(c @ x)
 
 
-def eq_nonneg_feasibility(A, b, feas_tol: float = FEAS_TOL):
-    """Nonnegative solution of A x = b, or None when phase 1 says infeasible.
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lawson-Hanson active-set NNLS: x >= 0 minimising ||A x - b||_2, and
+    its residual r = b - A x.
 
-    A solution is accepted only if its recomputed residual ||Ax - b||_inf
-    stays within feas_tol.
+    Each outer pass moves the index with the largest dual value w = A^T r
+    above rounding into the passive set P, unless least squares on P would
+    give it no positive value (it is then skipped until P changes, as in
+    Lawson and Hanson's code).  Each inner pass steps from x towards the
+    least squares solution on P until a coordinate reaches 0 and drops it,
+    so x >= 0 throughout.  At the optimum w <= tol off P.  Raises
+    NNLSIterationError after 3n outer passes.
+    """
+    import scipy.linalg  # here, not at module level: import polycrit loads numpy only
+
+    m, n = A.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.abs(A).sum(axis=0).max(initial=0.0)
+    tol *= np.abs(b).max(initial=0.0)
+    x = np.zeros(n)
+    P = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+    r = b.copy()
+
+    def solve(cols):
+        z = np.zeros(n)
+        if cols.any():
+            z[cols] = scipy.linalg.lstsq(A[:, cols], b, lapack_driver="gelsy", check_finite=False)[0]
+        return z
+
+    passes = 0
+    while True:
+        w = A.T @ r
+        free = ~P & ~skipped & (w > tol)
+        if not free.any():
+            return x, r
+        if passes == 3 * n:
+            raise NNLSIterationError(passes, float(np.linalg.norm(r)))
+        passes += 1
+        j = np.flatnonzero(free)[np.argmax(w[free])]
+        P[j] = True
+        z = solve(P)
+        if not z[j] > 0.0:
+            P[j] = False
+            skipped[j] = True
+            continue
+        skipped[:] = False
+        while P.any() and z[P].min() <= 0.0:
+            Q = np.flatnonzero(P & (z <= 0.0))
+            ratio = x[Q] / np.maximum(x[Q] - z[Q], np.finfo(float).tiny)
+            k = np.argmin(ratio)
+            x += ratio[k] * (z - x)
+            x[Q[k]] = 0.0
+            P &= x > 0.0
+            x[~P] = 0.0
+            z = solve(P)
+        x = z
+        r = b - A @ x
+
+
+def eq_nonneg_feasibility(A, b, feas_tol: float = FEAS_TOL):
+    """Nonnegative solution of A x = b, or None when the system is infeasible.
+
+    The NNLS optimum x >= 0 is accepted only when its recomputed residual
+    vanishes to rounding: ||A x - b||_1 <= 1e-9 (1 + ||b||_inf) and
+    ||A x - b||_inf <= feas_tol.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != len(b):
-        raise ValueError("inconsistent dimensions")
-    x, _ = solve_standard_form(A, b, np.zeros(A.shape[1]))
-    if x is None:
-        return None
-    if np.abs(A @ x - b).max() > feas_tol:
+    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != len(b):
+        raise ValueError("eq_nonneg_feasibility: inconsistent dimensions")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("eq_nonneg_feasibility: A and b must have finite entries")
+    x, r = _nnls(A, b)
+    r = np.abs(r)
+    if not (
+        r.sum() <= 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
+        and r.max(initial=0.0) <= feas_tol
+    ):
         return None
     return x
+
+
+def _finite_matrix(M, stage: str) -> np.ndarray:
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.ndim != 2 or M.size == 0 or not np.isfinite(M).all():
+        raise ValueError(f"{stage}: matrix must be nonempty with finite entries")
+    return M
 
 
 def _realified(M: np.ndarray) -> np.ndarray:
@@ -196,8 +289,7 @@ def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
 def strict_optimum(M) -> float:
     """t* of the box LP alone; used by duality-exclusivity sweeps to apply
     the rejection band around 0."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return _box_lp(M)[0]
+    return _box_lp(_finite_matrix(M, "strict_optimum"))[0]
 
 
 def strict_feasibility(M) -> FeasibilityCertificate:
@@ -207,10 +299,8 @@ def strict_feasibility(M) -> FeasibilityCertificate:
     the strict system is solvable (LP duality), with the band around 0
     resolved by solving the dual system explicitly.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    M = _finite_matrix(M, "strict_feasibility")
     m, n = M.shape
-    if m < 1 or n < 1 or not np.all(np.isfinite(M)):
-        raise ValueError("matrix must be nonempty with finite entries")
     t_star, h = _box_lp(M)
 
     if t_star > MARGIN_TOL:
@@ -226,7 +316,6 @@ def strict_feasibility(M) -> FeasibilityCertificate:
     b_mu[-1] = 1.0
     mu = eq_nonneg_feasibility(A_mu, b_mu)
     if mu is not None:
-        mu = np.maximum(mu, 0.0)
         mu /= mu.sum()
         margin = float(np.abs(mu @ M).max())
         if margin <= FEAS_TOL:

@@ -150,13 +150,18 @@ class CompressionSpectrumError(ValueError):
         self.budget = budget
 
 
+def _spectral_scale(A: NormalMatrix) -> float:
+    """max |lambda| = ||A||_2 of the normal A, or 1 for the zero matrix."""
+    return float(np.abs(A._eigenbasis[0]).max()) or 1.0
+
+
 def _parent_clusters(A: NormalMatrix, i: int, tol: float):
-    """Distinct eigenvalues of A at tol (lex-sorted centroids mu), their
-    multiplicities and their aggregated Gauss-Lucas weights W for index i,
-    all from the one Schur form of A."""
+    """Distinct eigenvalues of A at tol relative to max |lambda| (lex-sorted
+    centroids mu), their multiplicities and their aggregated Gauss-Lucas
+    weights W for index i, all from the one Schur form of A."""
     lam, Z = A._eigenbasis
     label = np.empty(len(lam), dtype=int)
-    for k, g in enumerate(cluster_indices(lam, tol)):
+    for k, g in enumerate(cluster_indices(lam, tol * _spectral_scale(A))):
         label[g] = k
     mult = np.bincount(label)
     mu = (np.bincount(label, lam.real) + 1j * np.bincount(label, lam.imag)) / mult
@@ -234,11 +239,12 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
 
     The parent spectrum is the Schur diagonal (A is certified normal, so
     by Bauer-Fike every eigenvalue has condition number 1).  Cluster the
-    parent spectrum at the RootSet tolerance: a cluster mu_k of size m_k
-    with aggregated weight W_k leaves m_k - 1 forced copies of mu_k in the
-    submatrix (all m_k when W_k vanishes), and the other eigenvalues are
-    the free zeros of sum W_k / (z - mu_k), found by _free_zeros without
-    forming any characteristic polynomial.  The submatrix can be defective
+    parent spectrum at DEFAULT_CLUSTER_TOL relative to max |lambda| =
+    ||A||_2, so that s A compresses to s times the spectra of A: a
+    cluster mu_k of size m_k with aggregated weight W_k leaves m_k - 1
+    forced copies of mu_k in the submatrix (all m_k when W_k vanishes),
+    and the other eigenvalues are the free zeros of sum W_k / (z - mu_k),
+    found by _free_zeros without forming any characteristic polynomial.  The submatrix can be defective
     (the compression of scaled roots of unity is nilpotent); its multiple
     free eigenvalues come back as exactly repeated points.  The merges of
     poly._resolve_multiple alone decide their multiplicity: a free
@@ -310,14 +316,15 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     """Nonnegative ratios generalizing Cauchy interlacing to normal matrices.
 
     For each distinct eigenvalue z_k (multiplicity n_k, clustered at
-    INTERLACE_TOL) the submatrix keeps forced copies of multiplicity
-    n_k - 1; the remaining m-1 free points w_j form the ratio
-    prod_j (w_j - z_k) / prod_{l != k} (z_l - z_k), which equals the
-    aggregated weight sum |<u_i, e>|^2 over the eigenspace of z_k, >= 0.
+    INTERLACE_TOL relative to max |lambda|) the submatrix keeps forced
+    copies of multiplicity n_k - 1; the remaining m-1 free points w_j form
+    the ratio prod_j (w_j - z_k) / prod_{l != k} (z_l - z_k), which equals
+    the aggregated weight sum |<u_i, e>|^2 over the eigenspace of z_k, >= 0.
     The forced/free split is the one compression_spectrum uses; an
     eigenvalue whose eigenspace is orthogonal to e_i keeps all n_k copies,
     so one of them counts as free and its ratio is 0.  Distinct
-    eigenvalues closer than 10 INTERLACE_TOL raise ValueError.
+    eigenvalues closer than 10 INTERLACE_TOL max |lambda| raise
+    ValueError, so the ratios of s A are those of A.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
@@ -325,11 +332,12 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     m = len(centers)
     # a gap barely above the clustering scale cannot be reliably told
     # apart from a multiplicity, so refuse the gray zone
-    near = [g for g in cluster_indices(centers, 10 * INTERLACE_TOL) if len(g) > 1]
+    gap = 10 * INTERLACE_TOL * _spectral_scale(A)
+    near = [g for g in cluster_indices(centers, gap) if len(g) > 1]
     if near:
         raise ValueError(
             f"clustering ambiguity: distinct eigenvalues {centers[near[0]]} "
-            f"closer than {10 * INTERLACE_TOL:.0e}"
+            f"closer than {gap:.1e}"
         )
     attached, free = _free_zeros(centers, W)
     free = np.concatenate([free, centers[~attached]])

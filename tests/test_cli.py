@@ -284,10 +284,10 @@ class TestErrorPaths:
 
 class TestStartup:
     @staticmethod
-    def _loaded(code: str) -> list[str]:
+    def _loaded(code: str, prefixes=("scipy.sparse", "scipy.optimize")) -> list[str]:
         src = str(Path(polycrit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code += "; print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))])"
+        code += f"; print([m for m in sys.modules if m.startswith({tuple(prefixes)!r})])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
@@ -295,6 +295,23 @@ class TestStartup:
         # every CLI command is a cold process; scipy.sparse (csgraph) and
         # scipy.optimize are imported inside the functions that need them
         assert self._loaded("import sys, polycrit.cli") == []
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # a cold scipy.linalg import costs about 130 ms; the library
+        # functions that need scipy import it themselves
+        assert self._loaded("import sys, polycrit, polycrit.jsonio, polycrit.maximal_zero", ("scipy",)) == []
+
+    def test_lp_calls_leave_optimize_unloaded(self):
+        # scipy.optimize adds about 19 MB of peak RSS to any process that
+        # imports it, an LP function's lazy import included
+        loaded = self._loaded(
+            "import sys; from polycrit import lp, majorization as mj, Polynomial;"
+            "p = Polynomial.from_roots([1, -1, 0.5j, -0.3 + 0.2j]);"
+            "mj.check_majorization(mj.tuple_W(p, 0, 2), mj.tuple_Z(p, 0, 2));"
+            "lp.strict_feasibility([[1.0], [-1.0]]); lp.strict_feasibility([[1.0, 2j]]);"
+            "lp.strict_optimum([[1.0, -1j]]); lp.in_convex_hull(0.1, [1, -1, 1j])"
+        )
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
     def test_normal_interlace_leaves_sparse_unloaded(self, tmp_path):
         # interlacing ratios come from the forced/free split of the

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+from polycrit import lp
 from polycrit.lp import (
+    NNLSIterationError,
     Verdict,
     eq_nonneg_feasibility,
     in_convex_hull,
@@ -61,6 +66,13 @@ class TestStrictFeasibility:
         with pytest.raises(ValueError):
             strict_feasibility(np.array([[np.inf]]))
 
+    def test_strict_optimum_rejects_nan(self):
+        # the box LP used to return nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strict_optimum"):
+                strict_optimum([[np.nan]])
+
 
 class TestEqNonneg:
     def test_singleton_feasible(self):
@@ -86,6 +98,23 @@ class TestEqNonneg:
         with pytest.raises(ValueError):
             eq_nonneg_feasibility([[1.0, 2.0]], [1.0, 2.0])
 
+    def test_infinite_rhs_rejected(self):
+        # used to return [nan] as a feasible certificate
+        with pytest.raises(ValueError, match="eq_nonneg_feasibility"):
+            eq_nonneg_feasibility([[1.0]], [np.inf])
+
+    def test_nan_matrix_rejected(self):
+        # used to return None, an infeasible verdict
+        with pytest.raises(ValueError, match="eq_nonneg_feasibility"):
+            eq_nonneg_feasibility([[np.nan]], [1.0])
+
+    def test_certificate_is_nonnegative_by_construction(self, rng):
+        for _ in range(40):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            A = rng.standard_normal((m, n))
+            x = eq_nonneg_feasibility(A, A @ np.abs(rng.standard_normal(n)))
+            assert x is not None and x.min() >= 0.0
+
     def test_against_scipy_highs(self, rng):
         # independent oracle for feasibility verdicts on random systems
         agree = 0
@@ -103,6 +132,75 @@ class TestEqNonneg:
             assert (mine is not None) == ref.success
             agree += 1
         assert agree == 60
+
+
+def _systems(rng, kind, count):
+    """Seeded (A, b): full rank with b = A x0 for x0 >= 0; rank-deficient
+    with b in or out of the cone; or infeasible, a positive first row of A
+    against a negative b_0."""
+    for _ in range(count):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 13))
+        if kind == "rank-deficient":
+            r = int(rng.integers(1, min(m, n)))
+            A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        else:
+            A = rng.standard_normal((m, n))
+        if kind == "full-rank" or (kind == "rank-deficient" and rng.random() < 0.5):
+            b = A @ np.abs(rng.standard_normal(n))
+        else:
+            b = rng.standard_normal(m)
+        if kind == "infeasible":
+            A[0] = np.abs(A[0]) + 0.1
+            b[0] = -abs(b[0]) - 0.1
+        yield A, b
+
+
+class TestNNLSKernel:
+    """lp._nnls against scipy.optimize.nnls and its own KKT conditions."""
+
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "infeasible"])
+    def test_matches_scipy_and_kkt(self, kind, rng):
+        infeasible = 0
+        for A, b in _systems(rng, kind, 80):
+            x, r = lp._nnls(A, b)
+            _, ref_norm = scipy.optimize.nnls(A, b)
+            tol = 1e-10 * (1.0 + np.abs(A).max() * np.abs(b).max() * A.size)
+            assert abs(np.linalg.norm(r) - ref_norm) <= tol
+            assert np.array_equal(r, b - A @ x)
+            w = A.T @ r
+            assert x.min() >= 0.0
+            assert w.max() <= tol
+            assert abs(x @ w) <= tol * (1.0 + np.abs(x).sum())
+            if eq_nonneg_feasibility(A, b) is None:
+                # r separates b from the cone of A's columns (Farkas)
+                infeasible += 1
+                assert b @ r > 0.0
+                assert ref_norm > 1e-9
+            else:
+                assert ref_norm <= 1e-8
+        if kind == "full-rank":
+            assert infeasible == 0
+        if kind == "infeasible":
+            assert infeasible == 80
+
+    def test_pass_cap_names_stage(self, monkeypatch):
+        # a least-squares solve that always favours the column just added
+        # makes the active set cycle; the kernel stops after 3n passes
+        A, b = np.eye(2), np.ones(2)
+        prev: list[int] = []
+
+        def lstsq(M, rhs, **kwargs):
+            cols = [int(np.argmax(c)) for c in M.T]
+            new = [c for c in cols if c not in prev]
+            z = np.array([1.0 if len(cols) < 2 or c in new else -1.0 for c in cols])
+            prev[:] = cols
+            return z, None, None, None
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", lstsq)
+        with pytest.raises(NNLSIterationError, match="nnls") as err:
+            lp._nnls(A, b)
+        assert err.value.passes == 6
+        assert err.value.residual == 1.0
 
 
 class TestDualityExclusivity:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from polycrit.poly import Polynomial
 from polycrit import majorization as mj
@@ -100,6 +101,54 @@ class TestCheckMajorization:
         Y = mj.ProductTuple((1.0 + 0j,), 0.0, 1)
         with pytest.raises(ValueError, match="len"):
             mj.check_majorization(X, Y)
+
+
+# a degree-6 root set on which the dense simplex returned an R with an
+# entry of -0.33 at k = 2
+NEGATIVE_R_ROOTS = [
+    -0.33826113889660103 + 0.686997058263225j,
+    -0.8874218436436567 - 0.3163459749048958j,
+    -0.14167207209879162 + 0.8292807855711284j,
+    0.11228782793249081 - 0.02089620953610094j,
+    0.513557865821225 + 0.12769803281797398j,
+    0.30977726118443205 - 0.1031782035710127j,
+]
+
+
+class TestHighDegree:
+    """Genuine pairs at degrees 6-8, where the simplex returned invalid
+    certificates or neared its pivot cap, against HiGHS verdicts."""
+
+    @staticmethod
+    def _highs_feasible(X, Y) -> bool:
+        x, y = np.asarray(X.values), np.asarray(Y.values)
+        m, n = len(x), len(y)
+        eye = np.eye(m)
+        A = np.vstack([
+            np.kron(eye, np.ones(n)),
+            np.kron(np.ones(m), np.eye(n)),
+            np.kron(eye, y.real),
+            np.kron(eye, y.imag),
+        ])
+        b = np.concatenate([np.ones(m), np.full(n, m / n), x.real, x.imag])
+        res = scipy.optimize.linprog(np.zeros(m * n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        return res.status == 0
+
+    def _check(self, p, k):
+        W, Z = mj.tuple_W(p, 0.0, k), mj.tuple_Z(p, 0.0, k)
+        assert self._highs_feasible(W, Z)
+        cert = mj.check_majorization(W, Z)
+        assert cert is not None
+        assert cert.neg_entry == 0.0
+        assert max(cert.row_sum_residual, cert.col_sum_residual, cert.reconstruction_residual) <= mj.CERT_TOL
+
+    @pytest.mark.parametrize("deg", [7, 8])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_against_highs(self, deg, k):
+        self._check(Polynomial.from_roots(disk_points(np.random.default_rng(deg), deg)), k)
+
+    def test_degree6_pair_with_negative_simplex_entry(self):
+        self._check(Polynomial.from_roots(NEGATIVE_R_ROOTS), 2)
 
 
 class TestDbsInequality:

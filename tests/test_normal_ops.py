@@ -394,6 +394,45 @@ class TestGaussLucasWeights:
             no.gauss_lucas_weights(A, 0, [0.5 + 1e-5j])
 
 
+class TestScaleInvariance:
+    """compression_spectrum(s A) = s compression_spectrum(A) and
+    interlace_ratios(s A) = interlace_ratios(A): the clustering scales with
+    ||A||_2, so a spectrum below the old absolute tolerance keeps its
+    distinct eigenvalues."""
+
+    S = 1e-9
+
+    def test_tiny_diagonal_keeps_distinct_eigenvalues(self):
+        d = np.array([1, 1.5, -1j, 2])
+        A = no.as_normal(np.diag(d * self.S))
+        pair = no.compression_spectrum(A, 0)
+        assert pair.eig_full == tuple(sort_lex(d * self.S))
+        assert pair.eig_sub == tuple(sort_lex(d[1:] * self.S))
+        assert np.array_equal(no.interlace_ratios(A, 0), no.interlace_ratios(no.as_normal(np.diag(d)), 0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        A = no.random_normal(disk_points(rng, 6, min_sep=1e-2), seed=seed)
+        B = no.as_normal(A.entries * self.S)
+        for i in range(A.n):
+            a, b = no.compression_spectrum(A, i), no.compression_spectrum(B, i)
+            for x, y in ((a.eig_full, b.eig_full), (a.eig_sub, b.eig_sub)):
+                assert len(x) == len(y)
+                assert np.abs(np.array(y) / self.S - x).max() <= 1e-12
+            ra, rb = no.interlace_ratios(A, i), no.interlace_ratios(B, i)
+            assert np.abs(rb - ra).max() <= 1e-12
+
+    def test_repeated_eigenvalue_scaled(self):
+        roots = np.array([0.5, 0.5, -0.3 + 0.4j, 0.8j])
+        A = no.random_normal(roots, seed=3)
+        B = no.as_normal(A.entries * self.S)
+        a, b = no.compression_spectrum(A, 1), no.compression_spectrum(B, 1)
+        assert sorted(Counter(b.eig_full).values()) == sorted(Counter(a.eig_full).values()) == [1, 1, 2]
+        assert np.abs(np.array(b.eig_sub) / self.S - a.eig_sub).max() <= 1e-12
+        assert np.abs(no.interlace_ratios(B, 1) - no.interlace_ratios(A, 1)).max() <= 1e-12
+
+
 class TestInterlaceRatios:
     def test_hermitian_reduces_to_cauchy(self, rng):
         eigs = np.sort(rng.uniform(-1, 1, 5))

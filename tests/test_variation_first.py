@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polycrit.lp import Verdict, strict_feasibility
+from polycrit.lp import FEAS_TOL, Verdict, strict_feasibility
 from polycrit.poly import MAX_DEGREE, Polynomial
+from polycrit import maximal_zero
 from polycrit import variation_first as vf
 
 from conftest import disk_points, roots_of_unity
@@ -221,6 +222,17 @@ class TestExtensibility:
             rotated = Polynomial.from_roots(base_roots * np.exp(-1j * alpha))
             got = vf.extensibility(rotated, base_roots[0] * np.exp(-1j * alpha)).verdict
             assert got is base
+
+    @pytest.mark.parametrize("n", range(3, 49))
+    def test_extremal_family_positively_singular(self, n):
+        # a dense simplex found 25 of these n (from n = 21) numerically ambiguous
+        p = maximal_zero.construct(maximal_zero.ZeroMaximalSpec(n=n, theta=0.7))
+        B = vf.bmatrix(vf.setup(p, 0.0))
+        cert = strict_feasibility(B)
+        assert cert.verdict is Verdict.POSITIVELY_SINGULAR
+        mu = np.array(cert.witness_mu)
+        assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
+        assert np.abs(mu @ B).max() <= FEAS_TOL
 
     def test_nongeneric_configuration_rejected(self):
         p = Polynomial.from_roots([1.0, 1.0, 1.0])
