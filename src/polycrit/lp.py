@@ -334,8 +334,13 @@ def strict_feasibility(M) -> FeasibilityCertificate:
 
 
 def in_convex_hull(point: complex, points, tol: float = FEAS_TOL) -> bool:
-    """Convex-combination feasibility test via the equality kernel."""
+    """Convex-combination feasibility test via the equality kernel, centred on the
+    set's centroid and scaled by its diameter, so that tol is relative."""
     pts = np.asarray(points, dtype=complex)
+    centre = pts.mean()
+    z = complex(point) - centre
+    scale = max(float(np.abs(pts[:, None] - pts).max()), abs(z)) or 1.0
+    pts, z = (pts - centre) / scale, z / scale
     A = np.vstack([pts.real, pts.imag, np.ones(len(pts))])
-    b = np.array([complex(point).real, complex(point).imag, 1.0])
+    b = np.array([z.real, z.imag, 1.0])
     return eq_nonneg_feasibility(A, b, feas_tol=tol) is not None

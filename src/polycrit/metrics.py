@@ -19,9 +19,9 @@ ON_CIRCLE_TOL = 1e-9
 class CriticalCircle:
     """Circle about alpha through the nearest critical points.
 
-    on_circle holds indices (into the critical RootSet, lexicographic
-    order) of critical points within ON_CIRCLE_TOL of the radius; its
-    length is the count r of points achieving the minimum.
+    on_circle holds indices (into the critical RootSet, lexicographic order)
+    of critical points within ON_CIRCLE_TOL * max(|alpha|, max |w|) of the
+    radius; its length is the count r of points achieving the minimum.
     """
 
     center: complex
@@ -33,17 +33,18 @@ def alpha_distance(p: Polynomial, alpha: complex) -> CriticalCircle:
     """|p|_alpha = min over critical points w of |alpha - w|."""
     if p.degree < 2:
         raise ValueError("alpha_distance needs degree >= 2")
-    crit = p.derivative().find_roots()
-    dists = np.abs(crit.as_array() - complex(alpha))
+    crit = p.derivative().find_roots().as_array()
+    dists = np.abs(crit - complex(alpha))
     radius = float(dists.min())
-    on = tuple(int(i) for i in np.flatnonzero(dists <= radius + ON_CIRCLE_TOL))
+    scale = max(abs(complex(alpha)), float(np.abs(crit).max()))
+    on = tuple(int(i) for i in np.flatnonzero(dists <= radius + ON_CIRCLE_TOL * scale))
     return CriticalCircle(center=complex(alpha), radius=radius, on_circle=on)
 
 
 def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     """d(p): max over zeros of the distance to the nearest critical point.
 
-    Ties among zeros are broken toward the lexicographically (re, im)
+    Ties (within 1e-12 relative) go to the lexicographically (re, im)
     smallest zero, so repeated runs return identical witnesses.
     """
     if p.degree < 2:
@@ -54,7 +55,7 @@ def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     worst = zeros[0]
     for z in zeros:
         m = float(np.abs(crit - z).min())
-        if m > best_val + 1e-12:
+        if m > best_val * (1 + 1e-12):
             best_val = m
             worst = z
     return best_val, worst
@@ -113,12 +114,12 @@ def delta_distance(p: Polynomial, q: Polynomial) -> float:
 def smale_ratio(p: Polynomial) -> float:
     """min over critical points w of |p(w) / (p'(0) w)|.
 
-    Requires p(0) = 0 and p'(0) != 0.
+    Requires p(0) = 0 and p'(0) != 0, as decided by Polynomial.vanishes_at.
     """
-    if abs(p.coeffs[0]) > 1e-12:
+    if not p.vanishes_at(0):
         raise ValueError("precondition p(0) = 0 violated")
     dp = p.derivative()
-    if abs(dp.coeffs[0]) <= 1e-12:
+    if dp.vanishes_at(0):
         raise ValueError("precondition p'(0) != 0 violated")
     w = dp.find_roots().as_array()
     vals = np.abs(p(w) / (dp.coeffs[0] * w))

@@ -18,12 +18,12 @@ import scipy.linalg
 
 from .lp import in_convex_hull
 from . import poly
-from .poly import DEFAULT_CLUSTER_TOL, Polynomial, RootSet, cluster_indices
+from .poly import Polynomial, RootSet, cluster_indices
 
-NORMALITY_TOL = 1e-9
+NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
+COMPRESSION_TOL = 1e-8  # compression_spectrum groups the parent spectrum at this distance
 INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
 CHAR_POLY_MAX = 32
-COMPRESSION_MAX = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,7 @@ def as_normal(matrix) -> NormalMatrix:
     if not np.isfinite(A).all():
         raise ValueError("normality check: matrix has non-finite entries")
     res = float(np.abs(A @ A.conj().T - A.conj().T @ A).max())
-    if res > NORMALITY_TOL:
+    if res > NORMALITY_TOL * float(np.abs(A).max(initial=0.0)) ** 2:
         raise ValueError(f"matrix is not normal within tolerance: residual {res:.3e}")
     return NormalMatrix(entries=A, normality_residual=res)
 
@@ -239,7 +239,7 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
 
     The parent spectrum is the Schur diagonal (A is certified normal, so
     by Bauer-Fike every eigenvalue has condition number 1).  Cluster the
-    parent spectrum at DEFAULT_CLUSTER_TOL relative to max |lambda| =
+    parent spectrum at COMPRESSION_TOL relative to max |lambda| =
     ||A||_2, so that s A compresses to s times the spectra of A: a
     cluster mu_k of size m_k with aggregated weight W_k leaves m_k - 1
     forced copies of mu_k in the submatrix (all m_k when W_k vanishes),
@@ -249,13 +249,13 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     free eigenvalues come back as exactly repeated points.  The merges of
     poly._resolve_multiple alone decide their multiplicity: a free
     eigenvalue next to a forced copy stays where it was found, however
-    close.  The order of A is capped at COMPRESSION_MAX.
+    close.  The order of A is capped at poly.MAX_DEGREE.
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    if A.n > COMPRESSION_MAX:
-        raise ValueError(f"matrix order {A.n} exceeds compression order cap {COMPRESSION_MAX}")
-    mu, mult, W = _parent_clusters(A, i, DEFAULT_CLUSTER_TOL)
+    if A.n > poly.MAX_DEGREE:
+        raise ValueError(f"matrix order {A.n} exceeds compression order cap {poly.MAX_DEGREE}")
+    mu, mult, W = _parent_clusters(A, i, COMPRESSION_TOL)
     attached, free = _free_zeros(mu, W)
     forced = np.repeat(mu, np.where(attached, mult - 1, mult))
     full = tuple(np.repeat(mu, mult))
@@ -278,10 +278,10 @@ def spectral_radius(E) -> float:
 
 def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors via the complex Schur form,
-    which is diagonal exactly when the matrix is normal."""
+    which is diagonal (to 1e-7 of its largest entry) when the matrix is normal."""
     T, Z = scipy.linalg.schur(entries, output="complex")
     off = np.abs(T - np.diag(np.diagonal(T))).max()
-    if off > 1e-7:
+    if off > 1e-7 * np.abs(T).max():
         raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off:.3e})")
     return np.diagonal(T).copy(), Z
 
@@ -303,8 +303,8 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     n = A.n
     worst = 0.0
     for z in np.asarray(probes, dtype=complex):
-        if np.abs(eigvals - z).min() < 1e-3:
-            raise ValueError("probe too close to the spectrum")
+        if np.abs(eigvals - z).min() < 1e-3 * _spectral_scale(A):
+            raise ValueError(f"probe {z:.6g} too close to the spectrum (within 1e-3 ||A||_2)")
         ratio = np.linalg.det(sub - z * np.eye(n - 1)) / np.linalg.det(
             A.entries - z * np.eye(n)
         )
@@ -356,11 +356,10 @@ def eigvals_in_hull(pair: SpectrumPair, tol: float = 1e-8) -> bool:
     return all(in_convex_hull(w, pair.eig_full, tol=tol) for w in pair.eig_sub)
 
 
-def collinear(points, tol: float = 1e-9) -> bool:
-    """Best-fit-line residual test (smallest singular value of centered data)."""
+def collinear(points) -> bool:
+    """Best-fit-line residual test: the smallest singular value of the
+    centered data is at most 1e-9 times the largest."""
     pts = np.asarray(points, dtype=complex)
     xy = np.column_stack([pts.real, pts.imag])
-    xy = xy - xy.mean(axis=0)
-    sv = np.linalg.svd(xy, compute_uv=False)
-    scale = 1.0 + sv[0]
-    return bool(sv[-1] <= tol * scale)
+    sv = np.linalg.svd(xy - xy.mean(axis=0), compute_uv=False)
+    return bool(sv[-1] <= 1e-9 * sv[0])

@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 LEADING_TOL = 1e-14
-DEFAULT_CLUSTER_TOL = 1e-8
 MAX_DEGREE = 64
 ABERTH_MAX_ITER = 500
 _EPS = float(np.finfo(float).eps)
@@ -61,16 +60,6 @@ def cluster_indices(points, tol: float) -> list[list[int]]:
     and the groups are ordered by their first index.
     """
     return sorted(sorted(_leaves(tree)) for tree in _single_linkage(points, tol))
-
-
-def cluster_points(points, tol: float) -> list[tuple[complex, int]]:
-    """(centroid, multiplicity) pairs of the tol-clusters, centroid-sorted."""
-    pts = [complex(p) for p in points]
-    out = []
-    for idx in cluster_indices(pts, tol):
-        out.append((sum(pts[i] for i in idx) / len(idx), len(idx)))
-    out.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-    return out
 
 
 def _horner(coeffs_ascending: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -274,21 +263,18 @@ def _resolve_multiple(z: np.ndarray, taylor):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Unordered multiset of complex points, lex-sorted, with the
-    tolerance clusters() groups them at.  An m-fold point is one value
-    repeated exactly m times, as the zero certifier returns it."""
+    """Lex-sorted multiset of complex points: an m-fold point is one value
+    repeated exactly m times, as the zero certifier returns it.  cluster_tol
+    is not read; perfbench/selftest.py constructs RootSet(points, cluster_tol)."""
 
     points: tuple[complex, ...]
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
+    cluster_tol: float = 1e-8
 
     @classmethod
     def from_points(cls, points) -> "RootSet":
         """The points lex-sorted and otherwise unchanged: multiplicity is
         decided by _resolve_multiple alone."""
         return cls(tuple(np.array(sort_lex(points))))
-
-    def clusters(self) -> list[tuple[complex, int]]:
-        return cluster_points(self.points, self.cluster_tol)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -345,6 +331,15 @@ class Polynomial:
         out = _horner(np.array(self.coeffs), arr if arr.ndim else arr.reshape(1))
         return out if arr.ndim else complex(out[0])
 
+    def vanishes_at(self, z: complex) -> bool:
+        """|p(z)| <= 1e-10 sum |c_k| rho^k, rho = max(|z|, max_k |c_(n-k)/c_n|^(1/k)):
+        unchanged under p -> s^n p(z / s), z -> s z, and met by every root
+        find_roots certifies (gamma_0 < 1e-10 up to MAX_DEGREE)."""
+        c = np.abs(self.coeffs)
+        n = self.degree
+        rho = max([abs(complex(z))] + [(c[n - k] / c[n]) ** (1.0 / k) for k in range(1, n + 1)])
+        return abs(self(z)) <= 1e-10 * float(_horner(c, np.array([rho]))[0])
+
     def derivative(self) -> "Polynomial":
         """Coefficient-wise derivative; degree 0 yields the flagged zero polynomial.
 
@@ -390,6 +385,11 @@ class Polynomial:
         multiplicity: nearby points it leaves apart are returned apart,
         however close.  Raises RootFindingError unless every returned
         point meets the bound.
+
+        The contract is backward, not forward: each returned point is an
+        exact root, and each m-fold point an m-fold root, of one polynomial
+        within gamma of p componentwise.  For the roots k/20, k = 1..20, it
+        returns 13 points, five of them multiple, up to 8e-2 from the roots.
 
         The result is memoized on the instance: every call returns the
         same RootSet, which is immutable and shared by all callers.  A

@@ -15,10 +15,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .lp import FeasibilityCertificate, strict_feasibility
-from .metrics import ON_CIRCLE_TOL
-from .poly import Polynomial, cluster_indices, cluster_points, sort_lex
+from .metrics import alpha_distance
+from .poly import Polynomial, sort_lex
 
-SIMPLE_TOL = 1e-6  # zeros/critical points count as simple at this separation or more
 _GL_NODES, _GL_WEIGHTS = leggauss(32)
 
 
@@ -29,7 +28,7 @@ class VariationSetup:
     zeros[0] is the distinguished zero a; the remaining zeros are in
     lexicographic (re, im) order.  crit starts with the r points on the
     a-critical circle sorted by angle about a, then the rest sorted by
-    (distance, angle).
+    (distance, angle).  generic: find_roots repeated no zero or critical point.
     """
 
     p: Polynomial
@@ -60,20 +59,18 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
     if p.degree < 2:
         raise ValueError("setup needs degree >= 2")
     a = complex(a)
-    scale = 1.0 + max(abs(c) for c in p.coeffs)
-    if abs(p(a)) > 1e-10 * scale:
+    if not p.vanishes_at(a):
         raise ValueError(f"a is not a zero of p: |p(a)| = {abs(p(a)):.3e}")
     roots = list(p.find_roots().points)
     nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - a))
     others = [z for i, z in enumerate(roots) if i != nearest]
     zeros = (a, *sort_lex(others))
 
-    crit = np.array(p.derivative().find_roots().points)
-    dists = np.abs(crit - a)
-    radius = float(dists.min())
-    on = dists <= radius + ON_CIRCLE_TOL
-    on_pts = sorted(crit[on], key=lambda w: np.angle(w - a))
-    off_pts = sorted(crit[~on], key=lambda w: (abs(w - a), np.angle(w - a)))
+    crit = p.derivative().find_roots().points
+    circle = alpha_distance(p, a)
+    on_pts = sorted((crit[i] for i in circle.on_circle), key=lambda w: np.angle(w - a))
+    off = (w for i, w in enumerate(crit) if i not in circle.on_circle)
+    off_pts = sorted(off, key=lambda w: (abs(w - a), np.angle(w - a)))
     ordered = tuple(on_pts) + tuple(off_pts)
 
     return VariationSetup(
@@ -81,9 +78,9 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
         a=a,
         zeros=zeros,
         crit=ordered,
-        radius=radius,
-        r=int(on.sum()),
-        generic=all(len(cluster_indices(pts, SIMPLE_TOL)) == len(pts) for pts in (zeros, ordered)),
+        radius=circle.radius,
+        r=len(circle.on_circle),
+        generic=all(len(set(pts)) == len(pts) for pts in (roots, crit)),
     )
 
 
@@ -101,8 +98,6 @@ def coefficients_a(s: VariationSetup, j: int) -> np.ndarray:
     w = s.crit[j]
     p = s.p
     ppw = p.nth_derivative(2)(w)
-    if abs(ppw) < 1e-12:
-        raise ValueError("non-generic critical point: p''(w) below tolerance")
     pw = p(w)
     a = s.a
     n = p.degree
@@ -110,6 +105,8 @@ def coefficients_a(s: VariationSetup, j: int) -> np.ndarray:
     out[0] = -(1.0 / (w - a)) * (1.0 + pw / ((w - a) ** 2 * ppw))
     for i in range(1, n):
         out[i] = -pw / ((w - a) * (w - s.zeros[i]) ** 2 * ppw)
+    if not np.isfinite(out).all():
+        raise ValueError(f"coefficients at w = {w:.6g} are not finite: p''(w) = {ppw:.3e}")
     return out
 
 
@@ -181,21 +178,18 @@ def extensibility(p: Polynomial, a: complex) -> FeasibilityCertificate:
 def nongeneric_data(s: VariationSetup, h) -> NonGenericData:
     """Phase data c, d, L_1..L_r at a multiple on-circle critical point.
 
-    Requires the first on-circle critical point to be a cluster of
-    multiplicity r >= 2; h is the direction vector for the zeros (aligned
-    with s.zeros).  Directions with d ~ 0 (the thin degenerate set) are
-    rejected.
+    Requires the first on-circle critical point to be repeated r >= 2
+    times exactly in s.crit, as find_roots returns an r-fold point; h is
+    the direction vector for the zeros (aligned with s.zeros).  Directions
+    with d ~ 0 (the thin degenerate set) are rejected.
     """
     h = np.asarray(h, dtype=complex)
     if len(h) != len(s.zeros):
         raise ValueError("h must align with the zeros")
-    clusters = cluster_points(s.crit, SIMPLE_TOL)
-    w1_raw = s.crit[0]
-    centroid, mult = min(clusters, key=lambda cm: abs(cm[0] - w1_raw))
-    if mult < 2:
+    w1 = s.crit[0]
+    r = s.crit.count(w1)
+    if r < 2:
         raise ValueError("on-circle critical point is simple; use the generic path")
-    r = mult
-    w1 = centroid
     p = s.p
     rfact = float(math.factorial(r))
     c = p.nth_derivative(r + 1)(w1) / rfact

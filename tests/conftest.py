@@ -21,6 +21,13 @@ def roots_of_unity(n, radius=1.0, phase=0.0):
     return radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + phase))
 
 
+def scaled(p, s):
+    """p_s(z) = s^n p(z / s): coefficient k times s^(n - k), so the roots,
+    the critical points and every distance between them scale by s."""
+    n = p.degree
+    return poly.Polynomial(tuple(c * s ** (n - k) for k, c in enumerate(p.coeffs)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

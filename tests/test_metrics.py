@@ -89,6 +89,17 @@ class TestDirectedHausdorff:
         assert abs(d - 1.0) <= 1e-12
         assert worst == min([-1.0, 1.0])
 
+    def test_tie_break_relative_at_small_scale(self):
+        # the zeros s {0, 1/2, -i/2, 0.3+0.4i, -0.6+0.1i}: an absolute
+        # tie-break of 1e-12 kept the first zero (-0.6+0.1i) at s = 1e-12
+        five = np.array([0, 0.5, -0.5j, 0.3 + 0.4j, -0.6 + 0.1j])
+        ref, ref_worst = directed_hausdorff(Polynomial.from_roots(five))
+        s = 1e-12
+        d, worst = directed_hausdorff(Polynomial.from_roots(s * five))
+        assert abs(ref - 0.31587) <= 1e-5 and ref_worst == 0
+        assert abs(d / s - ref) <= 1e-12 * ref
+        assert abs(worst) <= 1e-12 * s
+
     def test_gauss_lucas_upper_bound(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 9))

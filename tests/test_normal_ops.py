@@ -142,6 +142,18 @@ class TestCompression:
         with pytest.raises(ValueError, match="not normal"):
             no.as_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("s", [1e-5, 1e-9])
+    def test_small_jordan_block_rejected(self, s):
+        # the residual is judged against the size of the entries
+        with pytest.raises(ValueError, match="not normal"):
+            no.as_normal(np.array([[0.0, s], [0.0, 0.0]]))
+
+    def test_large_normal_accepted(self, rng):
+        roots = 1e3 * disk_points(rng, 16)
+        A = no.normal_from_roots(roots)
+        assert A.normality_residual > 1e-9
+        assert bottleneck_match(no.compression_spectrum(A, 0).eig_full, roots) <= 1e-10 * 1e3
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # a NaN residual compares false against the tolerance, so the
@@ -190,10 +202,10 @@ class TestParentSpectrum:
             assert list(full) == sort_lex(full)
 
     def test_order_cap_kept(self):
-        A = no.as_normal(np.diag(np.arange(33, dtype=complex)))
-        with pytest.raises(ValueError, match="compression order cap 32"):
+        A = no.as_normal(np.diag(np.arange(65, dtype=complex)))
+        with pytest.raises(ValueError, match="compression order cap 64"):
             no.compression_spectrum(A, 0)
-        assert len(no.compression_spectrum(no.as_normal(A.entries[:32, :32]), 0).eig_sub) == 31
+        assert len(no.compression_spectrum(no.as_normal(A.entries[:64, :64]), 0).eig_sub) == 63
 
     def test_nilpotent_compression_keeps_sevenfold_zero(self):
         # an eigensolver would split this defective 7-fold 0 into a ring of
@@ -253,6 +265,28 @@ class TestCompressionOracles:
         sub = no.compression_spectrum(A, n // 2).eig_sub
         assert len(sub) == n - 1 and len(set(sub)) == 1
         assert abs(sub[0]) <= 1e-14
+
+    @pytest.mark.parametrize("n", [33, 48, 64])
+    def test_high_order_matches_lapack(self, n):
+        # orders between the old cap of 32 and the degree cap of find_roots
+        roots = disk_points(np.random.default_rng(3300 + n), n)
+        for A in (no.normal_from_roots(roots), no.random_normal(roots, seed=n)):
+            for i in (0, n // 2, n - 1):
+                sub = no.compression_spectrum(A, i).eig_sub
+                ref = np.linalg.eigvals(no.principal_submatrix(A.entries, i))
+                assert len(sub) == n - 1
+                assert bottleneck_match(sub, ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [33, 48, 64])
+    def test_high_order_nilpotent_closed_form(self, n):
+        # the compression of scaled roots of unity has spectrum 0^(n-1);
+        # LAPACK is no oracle here: it scatters this defective zero onto a
+        # ring of radius 0.26 to 0.58
+        for radius in (0.8, 1.0):
+            A = no.normal_from_roots(roots_of_unity(n, radius=radius))
+            sub = no.compression_spectrum(A, n // 2).eig_sub
+            assert len(sub) == n - 1 and len(set(sub)) == 1
+            assert abs(sub[0]) <= 1e-14
 
     def test_orthogonal_eigenspace_keeps_full_multiplicity(self):
         # e_0 lies in the first block, so the second block's eigenvalues

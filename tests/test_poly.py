@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from polycrit.poly import (
     RootFindingError,
     RootSet,
     cluster_indices,
-    cluster_points,
     reconstruction_error,
     sort_lex,
 )
@@ -114,11 +116,10 @@ class TestFindRoots:
 
     def test_double_root_reported_as_cluster(self):
         p = Polynomial.from_roots([0.3 + 0.4j, 0.3 + 0.4j, -0.7])
-        clusters = p.find_roots().clusters()
-        mult = {m for _, m in clusters}
-        assert mult == {1, 2}
-        centroid = next(c for c, m in clusters if m == 2)
-        assert abs(centroid - (0.3 + 0.4j)) <= 1e-9
+        counts = Counter(p.find_roots().points)
+        assert sorted(counts.values()) == [1, 2]
+        double = next(c for c, m in counts.items() if m == 2)
+        assert abs(double - (0.3 + 0.4j)) <= 1e-9
 
     def test_high_multiplicity_collapses(self):
         coeffs = [0.0] * 9 + [1.0]  # z^9
@@ -126,12 +127,12 @@ class TestFindRoots:
         assert np.abs(pts).max() <= 1e-10
 
     def test_full_multiplicity_at_degree_cap(self):
-        clusters = Polynomial.from_roots([0.5] * 64).find_roots().clusters()
-        assert clusters == [(0.5 + 0j, 64)]
+        counts = Counter(Polynomial.from_roots([0.5] * 64).find_roots().points)
+        assert counts == {0.5 + 0j: 64}
 
     def test_mixed_high_multiplicities(self):
         p = Polynomial.from_roots([0.5] * 20 + [-0.4] * 10 + [0.3j])
-        got = sorted(((m, c) for c, m in p.find_roots().clusters()), reverse=True)
+        got = sorted(((m, c) for c, m in Counter(p.find_roots().points).items()), reverse=True)
         assert [m for m, _ in got] == [20, 10, 1]
         assert abs(got[0][1] - 0.5) <= 1e-9
         assert abs(got[1][1] - (-0.4)) <= 1e-9
@@ -144,8 +145,7 @@ class TestFindRoots:
 
     def test_close_distinct_pair_not_merged(self):
         p = Polynomial.from_roots([0.5, 0.5 + 2e-3, -0.3j])
-        clusters = p.find_roots().clusters()
-        assert sorted(m for _, m in clusters) == [1, 1, 1]
+        assert sorted(Counter(p.find_roots().points).values()) == [1, 1, 1]
 
     def test_residual_budget_contract(self, rng):
         roots = disk_points(rng, 12, min_sep=1e-3)
@@ -257,7 +257,7 @@ class TestCertificate:
         roots = np.r_[0.0, roots_of_unity(63, radius=0.5)]
         p = Polynomial.from_roots(roots)
         got = p.find_roots()
-        assert {m for _, m in got.clusters()} == {1}
+        assert set(Counter(got.points).values()) == {1}
         with mpmath.workdps(60):
             ref = mpmath.polyroots([mpmath.mpc(c) for c in p.coeffs[::-1]], maxsteps=50, extraprec=60)
         assert bottleneck_match(got.as_array(), [complex(r) for r in ref]) <= 1e-12
@@ -307,6 +307,41 @@ class TestCertificate:
             p.find_roots()
 
 
+class TestBackwardContract:
+    """The root contract is backward, not forward: each returned point is
+    an exact root, and each m-fold point an m-fold root, of a polynomial
+    within gamma of p componentwise.  Recorded finding: on the roots k/20,
+    k = 1..20, whose rounded coefficients have 20 simple roots, find_roots
+    merges backward-valid clouds into double and triple points."""
+
+    EXACT = [k / 20 for k in range(1, 21)]
+
+    def test_k20_merges_are_backward_valid(self):
+        p = Polynomial.from_roots(self.EXACT)
+        counts = Counter(p.find_roots().points)
+        assert len(counts) == 13
+        assert sorted(counts.values()) == [1] * 8 + [2, 2, 2, 3, 3]
+        # at 50 digits, every m-fold point meets the budgets of t_0..t_(m-1)
+        n = p.degree
+        with mpmath.workdps(50):
+            c = [mpmath.mpc(z) for z in p.coeffs]
+            for x, m in counts.items():
+                x = mpmath.mpc(x)
+                for j in range(m):
+                    t = mpmath.fsum(comb(i, j) * c[i] * x ** (i - j) for i in range(j, n + 1))
+                    terms = mpmath.fsum(comb(i, j) * abs(c[i]) * abs(x) ** (i - j) for i in range(j, n + 1))
+                    assert abs(t) <= poly._gamma(n, j) * terms
+
+    def test_k20_forward_error_exceeds_companion_route(self):
+        # not a forward bound: the merged points sit 8.0e-2 from the exact
+        # roots, where companion eigenvalues (np.roots) stay within 2.0e-3
+        p = Polynomial.from_roots(self.EXACT)
+        mine = bottleneck_match(p.find_roots().points, self.EXACT)
+        ref = bottleneck_match(np.roots(np.array(p.coeffs)[::-1]), self.EXACT)
+        assert 7.5e-2 <= mine <= 8.5e-2
+        assert ref <= 2.5e-3
+
+
 class TestInvariants:
     def test_round_trip_multiset(self, rng):
         for _ in range(30):
@@ -348,11 +383,6 @@ class TestValidation:
     def test_sort_lex_deterministic(self):
         pts = [1 + 1j, 1 - 1j, 0.0, 1 + 0j]
         assert sort_lex(pts) == [0.0, 1 - 1j, 1 + 0j, 1 + 1j]
-
-    def test_cluster_points_transitive_chain(self):
-        chain = [0.0, 1e-9, 2e-9, 1.0]
-        clusters = cluster_points(chain, 1.5e-9)
-        assert sorted(m for _, m in clusters) == [1, 3]
 
     def test_from_points_only_sorts(self):
         pts = [2e-9 + 0j, 0j, 1e-9 + 0j, 1e-9 + 0j]
