@@ -12,10 +12,12 @@ The strict system is decided through the box LP
 
     max t   s.t.  Re(M h) >= t * 1,  |Re h_i| <= 1, |Im h_i| <= 1,
 
-on a dense-tableau two-phase simplex with Bland's rule.  Its optimum is
-strictly positive exactly when the strict system is solvable; otherwise
-the dual positive-singularity system (mu >= 0, not all zero, mu^T M = 0)
-is solved for the complementary certificate.
+solved on the same kernel by least-squares primal-dual (LSPD), a short
+sequence of NNLS problems on the columns of its dual whose reduced cost
+vanishes.  Its optimum is strictly positive exactly when the strict
+system is solvable; otherwise the dual positive-singularity system
+(mu >= 0, not all zero, mu^T M = 0) is solved for the complementary
+certificate.
 """
 from __future__ import annotations
 
@@ -26,14 +28,14 @@ import numpy as np
 
 FEAS_TOL = 1e-8
 MARGIN_TOL = 1e-9
-_PIVOT_EPS = 1e-11
-_MAX_PIVOTS = 50_000
+_MAX_STEPS = 1_000
+_EPS = np.finfo(float).eps
 
 
 class SimplexIterationError(RuntimeError):
-    """The box LP failed: its pivot cap was exceeded, or strict_feasibility
-    found neither a strict margin nor a singular certificate (a
-    numerically ambiguous instance)."""
+    """The box LP failed: LSPD (stage "lspd") hit its step cap or found no
+    column to limit a step, or strict_feasibility found neither a strict
+    margin nor a singular certificate (a numerically ambiguous instance)."""
 
 
 class NNLSIterationError(RuntimeError):
@@ -68,96 +70,23 @@ class FeasibilityCertificate:
     margin: float
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    basis[row] = col
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least squares solution of A z = b by LAPACK's complete orthogonal
+    factorisation (dgelsy) at rcond eps, the gelsy path of scipy.linalg.lstsq
+    without its wrapper's per-call overhead."""
+    from scipy.linalg import lapack  # here, not at module level: import polycrit loads numpy only
 
-
-def _bland_iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int):
-    """Run simplex to optimality on tableau T (rows m, cols ncols+1).
-
-    cost is the full cost vector over the ncols structural columns; reduced
-    costs are recomputed from the basis each iteration (slower than a cost
-    row but immune to drift at these sizes).
-    """
-    m = T.shape[0]
-    for _ in range(_MAX_PIVOTS):
-        cb = cost[basis]
-        # reduced costs r_j = c_j - cb . T[:, j]
-        reduced = cost[:ncols] - cb @ T[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -_PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return
-        ratios = []
-        for i in range(m):
-            if T[i, entering] > _PIVOT_EPS:
-                ratios.append((T[i, -1] / T[i, entering], basis[i], i))
-        if not ratios:
-            raise SimplexIterationError("unbounded pivot column (should not occur here)")
-        ratios.sort(key=lambda t: (t[0], t[1]))
-        _pivot(T, basis, ratios[0][2], entering)
-    raise SimplexIterationError("simplex pivot cap exceeded")
-
-
-def solve_standard_form(A, b, c):
-    """min c @ x  subject to  A x = b, x >= 0.
-
-    Returns (x, objective) or (None, phase1_objective) when infeasible.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
     m, n = A.shape
-    A = A.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial basis
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b
-    basis = list(range(n, n + m))
-    cost1 = np.zeros(n + m)
-    cost1[n:] = 1.0
-    _bland_iterate(T, basis, cost1, n + m)
-    phase1 = float(cost1[basis] @ T[:, -1])
-    if phase1 > 1e-9 * (1.0 + abs(b).max()):
-        return None, phase1
-
-    # drive artificials out of the basis where possible; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if abs(T[i, j]) > 1e-9), None)
-            if pivot_col is None:
-                continue  # redundant row
-            _pivot(T, basis, i, pivot_col)
-        keep.append(i)
-    T = T[keep]
-    basis = [basis[i] for i in keep]
-
-    cost2 = np.concatenate([c, np.zeros(m)])
-    # artificial columns must never re-enter
-    T[:, n : n + m] = 0.0
-    cost2[n:] = 1e30
-    _bland_iterate(T, basis, cost2, n)
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i, -1]
-    return x, float(c @ x)
+    work, _ = lapack.dgelsy_lwork(m, n, 1, _EPS)
+    rhs = np.zeros((max(m, n), 1))
+    rhs[:m, 0] = b
+    _, z, _, _, info = lapack.dgelsy(A, rhs, np.zeros(n, dtype=np.int32), _EPS, int(work))
+    if info != 0:
+        raise ValueError(f"lstsq: dgelsy returned info = {info}")
+    return z[:n, 0]
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nnls(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Lawson-Hanson active-set NNLS: x >= 0 minimising ||A x - b||_2, and
     its residual r = b - A x.
 
@@ -166,35 +95,35 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     give it no positive value (it is then skipped until P changes, as in
     Lawson and Hanson's code).  Each inner pass steps from x towards the
     least squares solution on P until a coordinate reaches 0 and drops it,
-    so x >= 0 throughout.  At the optimum w <= tol off P.  Raises
-    NNLSIterationError after 3n outer passes.
+    so x >= 0 throughout.  At the optimum w <= tol off P.  A start x0 >= 0
+    must be the least squares solution on its own support (as every NNLS
+    optimum is); P starts as that support.  Raises NNLSIterationError after
+    3n outer passes.
     """
-    import scipy.linalg  # here, not at module level: import polycrit loads numpy only
-
     m, n = A.shape
-    tol = 10 * max(m, n) * np.finfo(float).eps * np.abs(A).sum(axis=0).max(initial=0.0)
+    tol = 10 * max(m, n) * _EPS * np.abs(A).sum(axis=0).max(initial=0.0)
     tol *= np.abs(b).max(initial=0.0)
-    x = np.zeros(n)
-    P = np.zeros(n, dtype=bool)
+    x = np.zeros(n) if x0 is None else x0.copy()
+    P = x > 0.0
     skipped = np.zeros(n, dtype=bool)
-    r = b.copy()
+    r = b - A @ x
 
     def solve(cols):
         z = np.zeros(n)
         if cols.any():
-            z[cols] = scipy.linalg.lstsq(A[:, cols], b, lapack_driver="gelsy", check_finite=False)[0]
+            z[cols] = _lstsq(A[:, cols], b)
         return z
 
     passes = 0
     while True:
         w = A.T @ r
-        free = ~P & ~skipped & (w > tol)
-        if not free.any():
+        w[P | skipped] = -np.inf
+        j = np.argmax(w)
+        if not w[j] > tol:
             return x, r
         if passes == 3 * n:
             raise NNLSIterationError(passes, float(np.linalg.norm(r)))
         passes += 1
-        j = np.flatnonzero(free)[np.argmax(w[free])]
         P[j] = True
         z = solve(P)
         if not z[j] > 0.0:
@@ -202,7 +131,7 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             skipped[j] = True
             continue
         skipped[:] = False
-        while P.any() and z[P].min() <= 0.0:
+        while (z[P] <= 0.0).any():
             Q = np.flatnonzero(P & (z <= 0.0))
             ratio = x[Q] / np.maximum(x[Q] - z[Q], np.finfo(float).tiny)
             k = np.argmin(ratio)
@@ -213,6 +142,60 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             z = solve(P)
         x = z
         r = b - A @ x
+
+
+def solve_standard_form(A, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """min c @ x subject to A x = b, x >= 0, for a cost c >= 0, by
+    least-squares primal-dual (Barnes, Chen, Gopalakrishnan and Johnson,
+    Oper. Res. Lett. 30, 2002).  Returns x and the dual optimum pi
+    (max b @ pi subject to A^T pi <= c).
+
+    pi = 0 is dual feasible because c >= 0.  Each step solves the NNLS
+    problem on the admissible columns, those whose reduced cost c - A^T pi
+    vanishes to rounding, warm-started from the previous x.  A residual that
+    vanishes to rounding makes x optimal; pi is then re-solved once on the
+    support of x (unless its reduced costs there are already 0) so that
+    complementary slackness holds to rounding.
+    Otherwise pi moves along the residual r (which raises b @ pi by
+    theta ||r||^2) until the next column's reduced cost reaches 0.  Raises
+    SimplexIterationError after _MAX_STEPS steps, or when no column limits
+    the step (the system A x = b, x >= 0 is infeasible).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    rows, cols = A.shape
+    # rounding bounds of c - A^T pi and of b - A x, from the largest column
+    # sum and entry of |A|, so that a column that blocked the last step counts
+    # as admissible and an optimal residual counts as vanishing
+    gamma = 10 * rows * _EPS
+    col_sum = np.abs(A).sum(axis=0).max(initial=0.0)
+    entry = np.abs(A).max(initial=0.0)
+    c_max, b_max = np.abs(c).max(initial=0.0), np.abs(b).max(initial=0.0)
+    pi = np.zeros(rows)
+    x = np.zeros(cols)
+    for step in range(1, _MAX_STEPS + 1):
+        d = c - A.T @ pi
+        admissible = (d <= gamma * (c_max + col_sum * np.abs(pi).max())) | (x > 0.0)
+        xa, r = _nnls(A[:, admissible], b, x[admissible])
+        x = np.zeros(cols)
+        x[admissible] = xa
+        if np.abs(r).max(initial=0.0) <= gamma * (entry * x.sum() + b_max):
+            support = x > 0.0
+            if d[support].any():
+                pi += _lstsq(A[:, support].T, d[support])
+            return x, pi
+        g = A.T @ r
+        blocking = ~admissible & (g > 0.0)
+        if not blocking.any():
+            raise SimplexIterationError(
+                f"lspd: step {step} found no blocking column (infeasible system); "
+                f"residual {np.linalg.norm(r):.3e}"
+            )
+        pi += np.min(d[blocking] / g[blocking]) * r
+    raise SimplexIterationError(
+        f"lspd: {_MAX_STEPS} steps without a vanishing residual; residual {np.linalg.norm(r):.3e}"
+    )
 
 
 def eq_nonneg_feasibility(A, b, feas_tol: float = FEAS_TOL):
@@ -253,37 +236,29 @@ def _realified(M: np.ndarray) -> np.ndarray:
 def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimum of max t s.t. Re(M h) >= t, |Re h_i|, |Im h_i| <= 1.
 
-    Returns (t*, h*).  t* >= 0 always (h = 0 is feasible); t* > 0 exactly
-    when the strict system is solvable.
+    Returns (t*, h*); t* > 0 exactly when the strict system is solvable.
+    By LP duality t* = min over the simplex of ||G^T mu||_1 (G = M
+    realified), that is
+
+        min 1^T (p + q)  s.t.  G^T mu - p + q = 0,  1^T mu = 1,  (mu, p, q) >= 0,
+
+    whose dual optimum pi = (pi_u, t*) gives h* = -pi_u.  The LP is built
+    on M / max|M_ij| and t* scaled back, so t*(s M) = s t*(M) to rounding.
     """
     m, n = M.shape
-    G = _realified(M)  # m x 2n
+    size = float(np.abs(M).max()) or 1.0
     n2 = 2 * n
-
-    # standard form over x = [v (n2), s (n2), t+, t-, w (m)]:
-    #   v + s = 2            (box u = v - 1 in [-1, 1])
-    #   G v - (t+ - t-) 1 - w = G 1
-    ncols = 2 * n2 + 2 + m
-    A = np.zeros((n2 + m, ncols))
-    b = np.zeros(n2 + m)
-    A[:n2, :n2] = np.eye(n2)
-    A[:n2, n2 : 2 * n2] = np.eye(n2)
-    b[:n2] = 2.0
-    A[n2:, :n2] = G
-    A[n2:, 2 * n2] = -1.0
-    A[n2:, 2 * n2 + 1] = 1.0
-    A[n2:, 2 * n2 + 2 :] = -np.eye(m)
-    b[n2:] = G @ np.ones(n2)
-    cost = np.zeros(ncols)
-    cost[2 * n2] = -1.0
-    cost[2 * n2 + 1] = 1.0
-
-    x, obj = solve_standard_form(A, b, cost)
-    if x is None:
-        raise SimplexIterationError("box LP unexpectedly infeasible")
-    t_star = -obj
-    u = x[:n2] - 1.0
-    return t_star, u[:n] + 1j * u[n:]
+    A = np.zeros((n2 + 1, m + 2 * n2))
+    A[:n2, :m] = _realified(M).T / size
+    A[n2, :m] = 1.0
+    A[:n2, m : m + n2] = -np.eye(n2)
+    A[:n2, m + n2 :] = np.eye(n2)
+    b = np.zeros(n2 + 1)
+    b[n2] = 1.0
+    cost = np.r_[np.zeros(m), np.ones(2 * n2)]
+    _, pi = solve_standard_form(A, b, cost)
+    u = np.clip(-pi[:n2], -1.0, 1.0)
+    return size * float(pi[n2]), u[:n] + 1j * u[n:]
 
 
 def strict_optimum(M) -> float:

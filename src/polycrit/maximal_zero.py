@@ -111,26 +111,30 @@ def check_critical_circle_symmetry(q: Polynomial, alpha: complex, R: float) -> f
 
         (n-k-1)! n R^{2k} q^{(k+1)}(alpha) = k! q'(alpha) conj(q^{(n-k)}(alpha))
 
-    for k = 0..n-1, reported relative to the larger side's magnitude.
+    for k = 0..n-1.  Each side scales like s^(n+k-1) under q -> s^n q(z/s),
+    alpha -> s alpha, R -> s R, so each difference is reported relative to
+    k! |q'(alpha)| (n-k)! |c_n| R^k, a magnitude of that degree.
     """
     alpha = complex(alpha)
-    scale = 1.0 + max(abs(c) for c in q.coeffs)
-    if abs(q(alpha)) > 1e-8 * scale:
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if not q.vanishes_at(alpha):
         raise ValueError("alpha must be a zero of q")
     n = q.degree
     crit = q.derivative().find_roots().as_array()
-    if np.abs(np.abs(crit - alpha) - R).max() > 1e-6:
+    if np.abs(np.abs(crit - alpha) - R).max() > 1e-6 * R:
         raise ValueError("critical points do not all lie at distance R from alpha")
     derivs = [q]
     for _ in range(n):
         derivs.append(derivs[-1].derivative())
     dvals = [d(alpha) for d in derivs]
+    lead = abs(q.coeffs[-1])
     worst = 0.0
     for k in range(n):
         lhs = math.factorial(n - k - 1) * n * R ** (2 * k) * dvals[k + 1]
         rhs = math.factorial(k) * dvals[1] * np.conj(dvals[n - k])
-        rel = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        worst = max(worst, rel)
+        size = math.factorial(k) * abs(dvals[1]) * math.factorial(n - k) * lead * R**k
+        worst = max(worst, abs(lhs - rhs) / size)
     return worst
 
 

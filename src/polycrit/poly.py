@@ -416,10 +416,3 @@ class Polynomial:
             )
         return roots
 
-
-def reconstruction_error(roots: RootSet, p: Polynomial) -> float:
-    """Relative coefficient error of prod (z - z_i) against p made monic."""
-    rebuilt = Polynomial.from_roots(roots.points)
-    target = np.array(p.monic().coeffs)
-    scale = max(1.0, float(np.abs(target).max()))
-    return float(np.abs(np.array(rebuilt.coeffs) - target).max() / scale)

@@ -181,7 +181,8 @@ def nongeneric_data(s: VariationSetup, h) -> NonGenericData:
     Requires the first on-circle critical point to be repeated r >= 2
     times exactly in s.crit, as find_roots returns an r-fold point; h is
     the direction vector for the zeros (aligned with s.zeros).  Directions
-    with d ~ 0 (the thin degenerate set) are rejected.
+    whose d cancels to 1e-12 of the sum of its terms' moduli (the thin
+    degenerate set, h = 0 included) are rejected.
     """
     h = np.asarray(h, dtype=complex)
     if len(h) != len(s.zeros):
@@ -194,10 +195,12 @@ def nongeneric_data(s: VariationSetup, h) -> NonGenericData:
     rfact = float(math.factorial(r))
     c = p.nth_derivative(r + 1)(w1) / rfact
     z = np.array(s.zeros)
-    d = -p(w1) * np.sum((h - np.conj(h) * z**2) / (w1 - z) ** 2)
-    if abs(d) <= 1e-12:
-        raise ValueError("degenerate direction: d(h) vanishes for this h")
     pw1 = p(w1)
+    terms = (h - np.conj(h) * z**2) / (w1 - z) ** 2
+    d = -pw1 * np.sum(terms)
+    # d vanishes when it cancels to rounding against its own terms
+    if abs(d) <= 1e-12 * abs(pw1) * np.abs(terms).sum():
+        raise ValueError("degenerate direction: d(h) vanishes for this h")
     base = np.angle(pw1 / (rfact * c)) - (r - 1) / r * np.angle(d / c)
     L = tuple(np.exp(1j * (base + 2 * np.pi * k / r)) for k in range(1, r + 1))
 

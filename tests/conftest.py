@@ -1,7 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polycrit import poly
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("polycrit", derandomize=True, deadline=None, max_examples=60, database=None)
+settings.load_profile("polycrit")
+
+# Hypothesis reports a falsifying example through libcst, whose import
+# raises a DeprecationWarning from mypy_extensions; under
+# filterwarnings = error that import, made while pytest writes the report,
+# aborts the whole session.  Importing it here first lets a failing
+# property test fail like any other test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def disk_points(rng, n, min_sep=0.0, max_mod=1.0):

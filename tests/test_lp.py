@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polycrit import lp
 from polycrit.lp import (
@@ -15,7 +16,7 @@ from polycrit.lp import (
     strict_optimum,
 )
 from polycrit.poly import Polynomial
-from polycrit import variation_first
+from polycrit import maximal_zero, variation_first
 
 
 class TestStrictFeasibility:
@@ -43,17 +44,7 @@ class TestStrictFeasibility:
         for _ in range(60):
             m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            cert = strict_feasibility(M)
-            if cert.verdict is Verdict.STRICTLY_FEASIBLE:
-                h = np.array(cert.witness_h)
-                assert np.abs(h.real).max() <= 1 + 1e-9
-                assert np.abs(h.imag).max() <= 1 + 1e-9
-                assert np.min((M @ h).real) >= cert.margin - 1e-12 > 1e-9
-            else:
-                mu = np.array(cert.witness_mu)
-                assert mu.min() >= 0
-                assert abs(mu.sum() - 1) <= 1e-12
-                assert np.abs(mu @ M).max() <= 1e-8
+            _assert_self_verifying(M, strict_feasibility(M))
 
     def test_complex_phase_rows(self):
         # rows e^{i phi} and -e^{i phi} cancel for any phase
@@ -72,6 +63,113 @@ class TestStrictFeasibility:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="strict_optimum"):
                 strict_optimum([[np.nan]])
+
+
+def _highs_box_optimum(M) -> float:
+    """t* of max t s.t. Re(M h) >= t, |Re h|, |Im h| <= 1 by HiGHS."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    m, n = M.shape
+    G = np.hstack([M.real, -M.imag])
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(2 * n), -1.0],
+        A_ub=np.hstack([-G, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        bounds=[(-1.0, 1.0)] * (2 * n) + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def _seeded_matrices(rng, count):
+    for _ in range(count):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        yield rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _engineered_singular(rng, count):
+    """A last row that is minus a positive combination of the others."""
+    for _ in range(count):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(1, 8))
+        top = rng.standard_normal((m - 1, n)) + 1j * rng.standard_normal((m - 1, n))
+        lam = np.abs(rng.standard_normal(m - 1)) + 0.1
+        yield np.vstack([top, -(lam @ top)[None, :]])
+
+
+def _extremal_b(n):
+    p = maximal_zero.construct(maximal_zero.ZeroMaximalSpec(n=n, theta=0.7))
+    return variation_first.bmatrix(variation_first.setup(p, 0.0))
+
+
+def _assert_self_verifying(M, cert):
+    if cert.verdict is Verdict.STRICTLY_FEASIBLE:
+        h = np.array(cert.witness_h)
+        assert np.abs(h.real).max() <= 1.0 and np.abs(h.imag).max() <= 1.0
+        assert np.min((M @ h).real) == cert.margin > lp.MARGIN_TOL
+    else:
+        mu = np.array(cert.witness_mu)
+        assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
+        assert np.abs(mu @ M).max() == cert.margin <= lp.FEAS_TOL
+
+
+class TestBoxLP:
+    """The box LP (LSPD on the NNLS kernel) against HiGHS and its own witnesses."""
+
+    def _corpus(self, rng):
+        yield from _seeded_matrices(rng, 150)
+        yield from _engineered_singular(rng, 40)
+        for n in range(3, 65):
+            yield _extremal_b(n)
+
+    def test_optimum_matches_highs(self, rng):
+        for M in self._corpus(rng):
+            t_star = strict_optimum(M)
+            assert abs(t_star - _highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
+
+    def test_strict_witness_is_box_optimal(self, rng):
+        strict = 0
+        for M in self._corpus(rng):
+            cert = strict_feasibility(M)
+            if cert.verdict is Verdict.STRICTLY_FEASIBLE:
+                strict += 1
+                t_star = strict_optimum(M)
+                assert abs(cert.margin - t_star) <= 1e-12 * abs(t_star)
+        assert strict > 100
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1e3, 1e9])
+    def test_optimum_is_homogeneous(self, s, rng):
+        checked = 0
+        for M in _seeded_matrices(rng, 120):
+            t_star = strict_optimum(M)
+            if abs(t_star) <= 1e-7:
+                continue  # criterion 12's band
+            checked += 1
+            assert abs(strict_optimum(s * M) / s - t_star) <= 1e-13 * abs(t_star)
+        assert checked > 100
+
+    def test_singular_extremal_b_stops_at_zero(self):
+        # the first LSPD step is the singular system itself
+        for n in (12, 48, 64):
+            assert strict_optimum(_extremal_b(n)) == 0.0
+
+    def test_step_cap_names_stage(self, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_STEPS", 1)
+        with pytest.raises(lp.SimplexIterationError, match=r"lspd: 1 steps .* residual 7\.071e-01"):
+            strict_optimum([[1.0]])
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6).map(lambda shape: (2, *shape)),
+            elements=st.floats(-10.0, 10.0).map(lambda v: round(v, 6)),
+        )
+    )
+    def test_property_certificate_and_highs(self, parts):
+        # entries on a 1e-6 grid: HiGHS drops matrix entries below 1e-9
+        M = parts[0] + 1j * parts[1]
+        _assert_self_verifying(M, strict_feasibility(M))
+        t_star = strict_optimum(M)
+        assert abs(t_star - _highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
 
 
 class TestEqNonneg:
@@ -189,14 +287,14 @@ class TestNNLSKernel:
         A, b = np.eye(2), np.ones(2)
         prev: list[int] = []
 
-        def lstsq(M, rhs, **kwargs):
+        def lstsq(M, rhs):
             cols = [int(np.argmax(c)) for c in M.T]
             new = [c for c in cols if c not in prev]
             z = np.array([1.0 if len(cols) < 2 or c in new else -1.0 for c in cols])
             prev[:] = cols
-            return z, None, None, None
+            return z
 
-        monkeypatch.setattr(scipy.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(lp, "_lstsq", lstsq)
         with pytest.raises(NNLSIterationError, match="nnls") as err:
             lp._nnls(A, b)
         assert err.value.passes == 6
@@ -221,11 +319,7 @@ class TestDualityExclusivity:
             assert strict != singular
 
     def test_engineered_singular_instances(self, rng):
-        for _ in range(40):
-            m, n = int(rng.integers(2, 7)), int(rng.integers(1, 8))
-            top = rng.standard_normal((m - 1, n)) + 1j * rng.standard_normal((m - 1, n))
-            lam = np.abs(rng.standard_normal(m - 1)) + 0.1
-            M = np.vstack([top, -(lam @ top)[None, :]])
+        for M in _engineered_singular(rng, 40):
             cert = strict_feasibility(M)
             assert cert.verdict is Verdict.POSITIVELY_SINGULAR
             assert strict_optimum(M) <= 1e-9

@@ -7,7 +7,7 @@ from polycrit.metrics import alpha_distance, directed_hausdorff
 from polycrit.poly import Polynomial
 from polycrit import maximal_zero as mz
 
-from conftest import disk_points
+from conftest import disk_points, scaled
 
 
 class TestConstruct:
@@ -154,6 +154,35 @@ class TestCriticalCircleSymmetry:
         p = Polynomial.from_roots([0.0, 0.9, -0.5])
         with pytest.raises(ValueError, match="distance R"):
             mz.check_critical_circle_symmetry(p, 0.0, 0.5)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
+    def test_scale_free(self, s):
+        # q -> s^n q(z / s) moves alpha to s alpha and R to s R; the residual
+        # stays at rounding instead of shrinking like s^(n+k-1)
+        for n in (4, 5, 8):
+            coeffs = [0.0] * (n + 1)
+            coeffs[1] = -1.0
+            coeffs[n] = 1.0
+            q = scaled(Polynomial(tuple(coeffs)), s)
+            assert mz.check_critical_circle_symmetry(q, 0.0, s * n ** (-1 / (n - 1))) <= 1e-13
+        odd = scaled(mz.construct(mz.ZeroMaximalSpec(n=5, theta=0.4, lam=1.0)), s)
+        assert mz.check_critical_circle_symmetry(odd, 0.0, s * 5 ** (-1 / 4)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
+    def test_scaled_unequal_radii_rejected(self, s):
+        # critical distances differ by 270 %; an absolute 1e-6 circle gate
+        # accepted them at s = 1e-7
+        q = scaled(Polynomial.from_roots([0.0, 0.5, -0.3j, 0.2 - 0.6j]), s)
+        R = float(np.abs(q.derivative().find_roots().as_array()).min())
+        with pytest.raises(ValueError, match="distance R"):
+            mz.check_critical_circle_symmetry(q, 0.0, R)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
+    def test_scaled_nonzero_alpha_rejected(self, s):
+        # |q(0)| = 1e-9 s^4 is far above rounding for z^4 + z + 1e-9
+        q = scaled(Polynomial((1e-9, 1.0, 0.0, 0.0, 1.0)), s)
+        with pytest.raises(ValueError, match="zero of q"):
+            mz.check_critical_circle_symmetry(q, 0.0, s * 4 ** (-1 / 3))
 
 
 class TestRhoExtremal:

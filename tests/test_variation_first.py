@@ -6,7 +6,7 @@ from polycrit.poly import MAX_DEGREE, Polynomial
 from polycrit import maximal_zero
 from polycrit import variation_first as vf
 
-from conftest import disk_points, roots_of_unity
+from conftest import disk_points, roots_of_unity, scaled
 
 
 def power_minus_z(n):
@@ -268,6 +268,19 @@ class TestNonGeneric:
             assert np.isfinite(data.c) and abs(data.c) > 1e-12
             assert len(data.L) == 2
             assert data.beta.shape == (2, n)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-2, 1e-3, 1e-6])
+    def test_scaled_boundary_direction_accepted(self, s, rng):
+        # |d| is 1.51 at s = 1 and 1.6e-10 at s = 1e-2, so an absolute gate
+        # on |d| rejected this genuine direction from s = 1e-3 on
+        p = scaled(self._boundary_odd(7), s)
+        st = vf.setup(p, 0.0)
+        assert not st.generic
+        data = vf.nongeneric_data(st, np.exp(1j * rng.uniform(0, 2 * np.pi, 7)))
+        assert all(abs(abs(L) - 1) <= 1e-12 for L in data.L)
+        assert abs(data.L[1] / data.L[0] + 1) <= 1e-12
+        with pytest.raises(ValueError, match="degenerate"):
+            vf.nongeneric_data(st, np.zeros(7))
 
     def test_degenerate_direction_rejected(self):
         p = self._boundary_odd(5)
