@@ -277,13 +277,10 @@ def strict_feasibility(M) -> FeasibilityCertificate:
     M = _finite_matrix(M, "strict_feasibility")
     m, n = M.shape
     t_star, h = _box_lp(M)
-
-    if t_star > MARGIN_TOL:
-        margin = float(np.min((M @ h).real))
-        if margin > MARGIN_TOL:
-            return FeasibilityCertificate(
-                Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin
-            )
+    margin = float(np.min((M @ h).real))
+    strict = FeasibilityCertificate(Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin)
+    if margin > MARGIN_TOL and t_star > MARGIN_TOL:
+        return strict
 
     # dual: mu >= 0, sum mu = 1, mu^T M = 0 (realified)
     A_mu = np.vstack([M.real.T, M.imag.T, np.ones((1, m))])
@@ -292,17 +289,13 @@ def strict_feasibility(M) -> FeasibilityCertificate:
     mu = eq_nonneg_feasibility(A_mu, b_mu)
     if mu is not None:
         mu /= mu.sum()
-        margin = float(np.abs(mu @ M).max())
-        if margin <= FEAS_TOL:
+        residual = float(np.abs(mu @ M).max())
+        if residual <= FEAS_TOL:
             return FeasibilityCertificate(
-                Verdict.POSITIVELY_SINGULAR, None, tuple(float(v) for v in mu), margin
+                Verdict.POSITIVELY_SINGULAR, None, tuple(float(v) for v in mu), residual
             )
-    if t_star > 0:
-        margin = float(np.min((M @ h).real))
-        if margin > MARGIN_TOL:
-            return FeasibilityCertificate(
-                Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin
-            )
+    if margin > MARGIN_TOL and t_star > 0:
+        return strict
     raise SimplexIterationError(
         f"numerically ambiguous instance: t* = {t_star:.3e} with no dual certificate"
     )

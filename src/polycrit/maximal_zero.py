@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, _poly_taylor
 
 VERIFY_TOL = 1e-8
 
@@ -113,7 +113,8 @@ def check_critical_circle_symmetry(q: Polynomial, alpha: complex, R: float) -> f
 
     for k = 0..n-1.  Each side scales like s^(n+k-1) under q -> s^n q(z/s),
     alpha -> s alpha, R -> s R, so each difference is reported relative to
-    k! |q'(alpha)| (n-k)! |c_n| R^k, a magnitude of that degree.
+    k! |q'(alpha)| (n-k)! |c_n| R^k, a magnitude of that degree.  The
+    derivatives q^(k)(alpha) are k! t_k(alpha), from one Taylor evaluation.
     """
     alpha = complex(alpha)
     if not R > 0:
@@ -124,10 +125,8 @@ def check_critical_circle_symmetry(q: Polynomial, alpha: complex, R: float) -> f
     crit = q.derivative().find_roots().as_array()
     if np.abs(np.abs(crit - alpha) - R).max() > 1e-6 * R:
         raise ValueError("critical points do not all lie at distance R from alpha")
-    derivs = [q]
-    for _ in range(n):
-        derivs.append(derivs[-1].derivative())
-    dvals = [d(alpha) for d in derivs]
+    t, _ = _poly_taylor(np.array(q.coeffs))(np.array([alpha]), n)
+    dvals = [math.factorial(k) * t[k, 0] for k in range(n + 1)]
     lead = abs(q.coeffs[-1])
     worst = 0.0
     for k in range(n):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 
 from .lp import in_convex_hull
 from . import poly
@@ -23,7 +22,6 @@ from .poly import Polynomial, RootSet, cluster_indices
 NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
 COMPRESSION_TOL = 1e-8  # compression_spectrum groups the parent spectrum at this distance
 INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
-CHAR_POLY_MAX = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +102,14 @@ def random_normal(roots, seed: int) -> NormalMatrix:
 
 
 def char_poly(M) -> Polynomial:
-    """Coefficients of det(M - z I) by the Faddeev-LeVerrier recursion."""
+    """Coefficients of det(M - z I) by the Faddeev-LeVerrier recursion; the
+    order of M is capped at poly.MAX_DEGREE."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     n = M.shape[0]
-    if n > CHAR_POLY_MAX:
-        raise ValueError(f"matrix order {n} exceeds char_poly cap {CHAR_POLY_MAX}")
+    if n > poly.MAX_DEGREE:
+        raise ValueError(f"matrix order {n} exceeds char_poly cap {poly.MAX_DEGREE}")
     # det(zI - M) = z^n + c[1] z^{n-1} + ... + c[n]
     c = np.zeros(n + 1, dtype=complex)
     c[0] = 1.0
@@ -279,6 +278,8 @@ def spectral_radius(E) -> float:
 def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors via the complex Schur form,
     which is diagonal (to 1e-7 of its largest entry) when the matrix is normal."""
+    import scipy.linalg  # here, not at module level: CLI commands without a Schur form skip it
+
     T, Z = scipy.linalg.schur(entries, output="complex")
     off = np.abs(T - np.diag(np.diagonal(T))).max()
     if off > 1e-7 * np.abs(T).max():

@@ -69,13 +69,6 @@ def _horner(coeffs_ascending: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derive(coeffs_ascending: np.ndarray) -> np.ndarray:
-    n = len(coeffs_ascending) - 1
-    if n == 0:
-        return np.zeros(1, dtype=complex)
-    return coeffs_ascending[1:] * np.arange(1, n + 1)
-
-
 def _gamma(n: int, k: int) -> float:
     """Rounding factor of the k-th Taylor coefficient of a degree-n
     polynomial or of a sum over n poles (Higham, Accuracy and Stability
@@ -101,18 +94,16 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
     if deg == 1:
         return np.array([-c[0] / c[1]])
     c = c / c[-1]
-    dc = _derive(c)
-    abs_c = np.abs(c)
+    taylor = _poly_taylor(c)
     radius = 1.0 + max(abs(c[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
     for _ in range(max_iter):
-        pv = _horner(c, z)
-        dv = _horner(dc, z)
+        (pv, dv), (budget, _) = taylor(z, 1)
         stuck = np.abs(dv) < 1e-280
         if stuck.any():
             z = np.where(stuck, z * (1 + 1e-9) + 1e-9, z)
             continue
-        met = np.all(np.abs(pv) <= _gamma(deg, 0) * _horner(abs_c, np.abs(z)) + _TINY)
+        met = np.all(np.abs(pv) <= budget)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -152,18 +143,31 @@ def _expand_roots(points) -> np.ndarray:
 
 
 def _poly_taylor(coeffs: np.ndarray):
-    """Taylor callback of a polynomial for _resolve_multiple: orders 0..k
-    of t_j(x) = p^(j)(x) / j! = sum_i C(i, j) c_i x^(i-j), and their
-    backward-error budgets gamma_j * sum_i C(i, j) |c_i| |x|^(i-j) + tiny."""
+    """Taylor callback of a polynomial: orders 0..k of t_j(x) = p^(j)(x) / j!
+    = sum_i R[j, i] x^i on the rows R[j, i] = C(i+j, j) c_(i+j), zero above
+    degree n - j, and their budgets gamma_j * sum_i |R[j, i]| |x|^i + tiny.
+    One Horner pass over the columns of R and |R| gives every order and
+    budget, bit for bit the per-order values: at finite x the padding adds
+    0 x + 0 = 0, and complex arithmetic on real |R| and |x| rounds as real."""
     n = len(coeffs) - 1
+    R = np.zeros((n + 1, n + 1), dtype=complex)
+    for j in range(n + 1):
+        R[j, : n + 1 - j] = coeffs[j:] * _BINOM[j : n + 1, j]
+    cols = np.stack([R.T, np.abs(R.T)], axis=1)  # cols[i] = (R[:, i], |R[:, i]|)
+    gamma = np.array([_gamma(n, j) for j in range(n + 1)])
 
     def taylor(x: np.ndarray, k: int):
+        r = min(k, n) + 1
+        pts = np.stack([x, np.abs(x)])[:, None]
+        out = np.empty((2, r, len(x)), dtype=complex)
+        out[...] = cols[n, :, :r, None]
+        for col in cols[-2::-1, :, :r, None]:
+            out *= pts
+            out += col
         t = np.zeros((k + 1, len(x)), dtype=complex)
         b = np.full((k + 1, len(x)), _TINY)
-        for j in range(min(k, n) + 1):
-            row = coeffs[j:] * _BINOM[j : n + 1, j]
-            t[j] = _horner(row, x)
-            b[j] += _gamma(n, j) * _horner(np.abs(row), np.abs(x))
+        t[:r] = out[0]
+        b[:r] += gamma[:r, None] * out[1].real
         return t, b
 
     return taylor
@@ -352,7 +356,7 @@ class Polynomial:
     def _derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0j,))
-        return Polynomial(tuple(_derive(np.array(self.coeffs))))
+        return Polynomial(tuple(np.array(self.coeffs[1:]) * np.arange(1, self.degree + 1)))
 
     def nth_derivative(self, k: int) -> "Polynomial":
         p = self
@@ -364,13 +368,9 @@ class Polynomial:
         return Polynomial(tuple(factor * c for c in self.coeffs))
 
     def shifted(self, s: complex) -> "Polynomial":
-        """Coefficients of p(z + s) by repeated synthetic division (Taylor shift)."""
-        c = list(self.coeffs)
-        n = len(c)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                c[j] += s * c[j + 1]
-        return Polynomial(tuple(c))
+        """Coefficients of p(z + s): the Taylor coefficients t_j(s) (Taylor shift)."""
+        t, _ = _poly_taylor(np.array(self.coeffs))(np.array([complex(s)]), self.degree)
+        return Polynomial(tuple(t[:, 0]))
 
     def monic(self) -> "Polynomial":
         return self.scaled(1.0 / self.coeffs[-1])

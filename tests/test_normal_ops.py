@@ -107,7 +107,40 @@ class TestCharPoly:
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            no.char_poly(np.eye(40))
+            no.char_poly(np.eye(65))
+
+    @staticmethod
+    def _mp_product(roots, derivative=False):
+        """Ascending coefficients of prod (z - r), or of its derivative,
+        in 50-digit arithmetic."""
+        with mpmath.workdps(50):
+            c = [mpmath.mpc(1)]
+            for r in roots:
+                r = mpmath.mpc(complex(r))
+                c = [-r * c[0]] + [c[i - 1] - r * c[i] for i in range(1, len(c))] + [c[-1]]
+            if derivative:
+                c = [k * c[k] for k in range(1, len(c))]
+            return np.array([complex(x) for x in c])
+
+    @pytest.mark.parametrize("n", [33, 48, 64])
+    @pytest.mark.parametrize("kind", ["fourier", "haar"])
+    def test_orders_to_degree_cap_match_mpmath(self, kind, n):
+        # the matrix entries are rounded, which moves the eigenvalues of
+        # the normal matrix by about eps; Faddeev-LeVerrier stays within
+        # 3.2e-15 of the largest coefficient
+        roots = disk_points(np.random.default_rng(n), n)
+        A = no.normal_from_roots(roots) if kind == "fourier" else no.random_normal(roots, seed=n)
+        got = np.array(no.char_poly(A.entries).coeffs) * (-1.0) ** n
+        ref = self._mp_product(roots)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_differentiator_identity_at_degree_cap(self):
+        roots = disk_points(np.random.default_rng(64), 64)
+        A = no.normal_from_roots(roots)
+        ref = self._mp_product(roots, derivative=True)
+        for i in (0, 31, 63):
+            got = np.array(no.char_poly(no.principal_submatrix(A.entries, i)).coeffs) * (-1.0) ** 63 * 64
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestCompression:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polycrit.lp import in_convex_hull
-from polycrit import poly
+from polycrit import maximal_zero as mz, poly
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import (
     Polynomial,
@@ -347,6 +347,92 @@ class TestBackwardContract:
         ref = bottleneck_match(np.roots(np.array(p.coeffs)[::-1]), self.EXACT)
         assert 7.5e-2 <= mine <= 8.5e-2
         assert ref <= 2.5e-3
+
+
+def per_order_taylor(coeffs):
+    """The per-order evaluator the Taylor rows replaced: two Horner passes
+    (value and budget) for each order j on the row C(i, j) c_i, i >= j."""
+    n = len(coeffs) - 1
+
+    def taylor(x, k):
+        t = np.zeros((k + 1, len(x)), dtype=complex)
+        b = np.full((k + 1, len(x)), poly._TINY)
+        for j in range(min(k, n) + 1):
+            row = coeffs[j:] * poly._BINOM[j : n + 1, j]
+            t[j] = poly._horner(row, x)
+            b[j] += poly._gamma(n, j) * poly._horner(np.abs(row), np.abs(x))
+        return t, b
+
+    return taylor
+
+
+def mp_taylor(coeffs, x, j):
+    """t_j(x) = sum_i C(i, j) c_i x^(i-j) at the working mpmath precision."""
+    c = [mpmath.mpc(v) for v in coeffs]
+    x = mpmath.mpc(x)
+    out = mpmath.mpc(0)
+    for i in range(len(c) - 1, j - 1, -1):
+        out = out * x + comb(i, j) * c[i]
+    return out
+
+
+def geometry_roots(shape, n, rng):
+    if shape == "disk":
+        return poly.disk_points(rng, n)
+    if shape == "square":
+        return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    if shape == "cluster":
+        # n // 4 triple roots, then double roots, at well separated centres
+        triples = n // 4
+        mults = [3] * triples + [2] * ((n - 3 * triples) // 2)
+        mults += [1] * (n - sum(mults))
+        centres = 0.9 * roots_of_unity(len(mults), phase=0.1) * rng.uniform(0.5, 1.0, len(mults))
+        return np.repeat(centres, mults)
+    return mz.construct(mz.ZeroMaximalSpec(n=n, theta=float(rng.uniform(0, 2 * np.pi)))).find_roots().as_array()
+
+
+class TestTaylorRows:
+    """_poly_taylor evaluates every order t_j = p^(j) / j! and its budget
+    gamma_j sum_i |R_ji| |x|^i in one Horner pass over the Taylor rows."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_per_order_horner(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 65):
+            c = (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) * 10.0 ** rng.uniform(-8, 8)
+            x = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) * 10.0 ** rng.uniform(-3, 3)
+            rows, ref = poly._poly_taylor(c), per_order_taylor(c)
+            for k in (0, 1, 2, n, n + 1):
+                (t, b), (t_ref, b_ref) = rows(x, k), ref(x, k)
+                assert t.tobytes() == t_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("shape", ["disk", "square", "cluster", "extremal"])
+    def test_budget_holds_against_mpmath(self, shape, n):
+        rng = np.random.default_rng(n)
+        p = Polynomial.from_roots(geometry_roots(shape, n, rng))
+        c = np.array(p.coeffs)
+        # Aberth's start circle, the certified roots and points near them
+        radius = 1.0 + max(abs(c[n - k] / c[n]) ** (1.0 / k) for k in range(1, n + 1))
+        start = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
+        roots = p.find_roots().as_array()
+        nudge = np.exp(2j * np.pi * rng.uniform(size=n))
+        pick = slice(0, n, n // 4)
+        x = np.concatenate([start[pick], roots[pick], (roots + 1e-6 * nudge)[pick], (roots + 1e-3 * nudge)[pick]])
+        t, b = poly._poly_taylor(c)(x, n)
+        with mpmath.workdps(50):
+            for col, xv in enumerate(x):
+                for j in range(n + 1):
+                    assert abs(t[j, col] - mp_taylor(c, xv, j)) <= b[j, col]
+
+    def test_shifted_degree_cap_against_mpmath(self, rng):
+        p = Polynomial.from_roots(disk_points(rng, 64))
+        s = complex(disk_points(rng, 1)[0])
+        got = p.shifted(s).coeffs
+        with mpmath.workdps(50):
+            for j in range(65):
+                terms = sum(comb(i, j) * abs(p.coeffs[i]) * abs(s) ** (i - j) for i in range(j, 65))
+                assert abs(got[j] - mp_taylor(p.coeffs, s, j)) <= poly._gamma(64, j) * terms
 
 
 class TestInvariants:
