@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -70,12 +71,17 @@ class FeasibilityCertificate:
     margin: float
 
 
+@cache
+def _lapack():
+    from scipy.linalg import lapack  # on first use: import polycrit loads numpy only
+    return lapack
+
+
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares solution of A z = b by LAPACK's complete orthogonal
     factorisation (dgelsy) at rcond eps, the gelsy path of scipy.linalg.lstsq
     without its wrapper's per-call overhead."""
-    from scipy.linalg import lapack  # here, not at module level: import polycrit loads numpy only
-
+    lapack = _lapack()
     m, n = A.shape
     work, _ = lapack.dgelsy_lwork(m, n, 1, _EPS)
     rhs = np.zeros((max(m, n), 1))
@@ -86,7 +92,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[:n, 0]
 
 
-def _nnls(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None) -> tuple[np.ndarray, np.ndarray]:
     """Lawson-Hanson active-set NNLS: x >= 0 minimising ||A x - b||_2, and
     its residual r = b - A x.
 
@@ -95,37 +101,32 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> tuple[n
     give it no positive value (it is then skipped until P changes, as in
     Lawson and Hanson's code).  Each inner pass steps from x towards the
     least squares solution on P until a coordinate reaches 0 and drops it,
-    so x >= 0 throughout.  At the optimum w <= tol off P.  A start x0 >= 0
-    must be the least squares solution on its own support (as every NNLS
-    optimum is); P starts as that support.  Raises NNLSIterationError after
-    3n outer passes.
+    so x >= 0 throughout.  At the optimum w <= tol off P (tol from the column
+    sums of |A|, col_sums if given).  A start x0 >= 0 must be the least
+    squares solution on its own support (as every NNLS optimum is); P starts
+    as that support.  Raises NNLSIterationError after 3n outer passes.
     """
     m, n = A.shape
-    tol = 10 * max(m, n) * _EPS * np.abs(A).sum(axis=0).max(initial=0.0)
-    tol *= np.abs(b).max(initial=0.0)
+    if col_sums is None:
+        col_sums = np.abs(A).sum(axis=0)
+    tol = 10 * max(m, n) * _EPS * col_sums.max(initial=0.0) * np.abs(b).max(initial=0.0)
     x = np.zeros(n) if x0 is None else x0.copy()
     P = x > 0.0
     skipped = np.zeros(n, dtype=bool)
     r = b - A @ x
-
-    def solve(cols):
-        z = np.zeros(n)
-        if cols.any():
-            z[cols] = _lstsq(A[:, cols], b)
-        return z
-
     passes = 0
     while True:
         w = A.T @ r
         w[P | skipped] = -np.inf
-        j = np.argmax(w)
+        j = w.argmax()
         if not w[j] > tol:
             return x, r
         if passes == 3 * n:
             raise NNLSIterationError(passes, float(np.linalg.norm(r)))
         passes += 1
         P[j] = True
-        z = solve(P)
+        z = np.zeros(n)
+        z[P] = _lstsq(A[:, P], b)
         if not z[j] > 0.0:
             P[j] = False
             skipped[j] = True
@@ -134,12 +135,14 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> tuple[n
         while (z[P] <= 0.0).any():
             Q = np.flatnonzero(P & (z <= 0.0))
             ratio = x[Q] / np.maximum(x[Q] - z[Q], np.finfo(float).tiny)
-            k = np.argmin(ratio)
+            k = ratio.argmin()
             x += ratio[k] * (z - x)
             x[Q[k]] = 0.0
             P &= x > 0.0
             x[~P] = 0.0
-            z = solve(P)
+            z = np.zeros(n)
+            if P.any():
+                z[P] = _lstsq(A[:, P], b)
         x = z
         r = b - A @ x
 
@@ -169,15 +172,16 @@ def solve_standard_form(A, b, c) -> tuple[np.ndarray, np.ndarray]:
     # sum and entry of |A|, so that a column that blocked the last step counts
     # as admissible and an optimal residual counts as vanishing
     gamma = 10 * rows * _EPS
-    col_sum = np.abs(A).sum(axis=0).max(initial=0.0)
-    entry = np.abs(A).max(initial=0.0)
+    AT, absA = A.T, np.abs(A)
+    col_sums = absA.sum(axis=0)
+    col_sum, entry = col_sums.max(initial=0.0), absA.max(initial=0.0)
     c_max, b_max = np.abs(c).max(initial=0.0), np.abs(b).max(initial=0.0)
     pi = np.zeros(rows)
     x = np.zeros(cols)
     for step in range(1, _MAX_STEPS + 1):
-        d = c - A.T @ pi
+        d = c - AT @ pi
         admissible = (d <= gamma * (c_max + col_sum * np.abs(pi).max())) | (x > 0.0)
-        xa, r = _nnls(A[:, admissible], b, x[admissible])
+        xa, r = _nnls(A[:, admissible], b, x[admissible], col_sums[admissible])
         x = np.zeros(cols)
         x[admissible] = xa
         if np.abs(r).max(initial=0.0) <= gamma * (entry * x.sum() + b_max):
@@ -185,7 +189,7 @@ def solve_standard_form(A, b, c) -> tuple[np.ndarray, np.ndarray]:
             if d[support].any():
                 pi += _lstsq(A[:, support].T, d[support])
             return x, pi
-        g = A.T @ r
+        g = AT @ r
         blocking = ~admissible & (g > 0.0)
         if not blocking.any():
             raise SimplexIterationError(

@@ -11,7 +11,7 @@ one Schur form; char_poly serves the differentiator identity itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -58,12 +58,21 @@ def dft_unitary(n: int) -> np.ndarray:
     """u_{ij} = eta^{ij} / sqrt(n), eta = exp(2 pi i / n), 1-based exponents.
 
     Each column is a trace vector for any matrix diagonal in the standard
-    basis; the matrix is symmetric and unitary.
+    basis; the matrix is symmetric, unitary and read-only (see _dft_pair).
     """
     if n < 1:
         raise ValueError("n >= 1 required")
+    return _dft_pair(n)[0]
+
+
+@lru_cache(maxsize=poly.MAX_DEGREE)
+def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """dft_unitary(n) and its conjugate transpose, read-only, built on first use."""
     k = np.arange(1, n + 1)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    U = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    Uh = U.conj().T
+    U.flags.writeable = Uh.flags.writeable = False
+    return U, Uh
 
 
 def normal_from_roots(roots) -> NormalMatrix:
@@ -76,9 +85,8 @@ def normal_from_roots(roots) -> NormalMatrix:
     r = np.asarray(roots, dtype=complex)
     if len(r) < 2:
         raise ValueError("need at least two eigenvalues")
-    U = dft_unitary(len(r))
-    A = U.conj().T @ np.diag(r) @ U
-    return as_normal(A)
+    U, Uh = _dft_pair(len(r))
+    return as_normal(Uh @ np.diag(r) @ U)
 
 
 def random_normal(roots, seed: int) -> NormalMatrix:
@@ -101,28 +109,38 @@ def random_normal(roots, seed: int) -> NormalMatrix:
     raise RuntimeError("orthonormalization breakdown twice in a row")
 
 
-def char_poly(M) -> Polynomial:
-    """Coefficients of det(M - z I) by the Faddeev-LeVerrier recursion; the
-    order of M is capped at poly.MAX_DEGREE."""
+def char_poly(M):
+    """Coefficients of det(M - z I) by the Faddeev-LeVerrier recursion over a
+    stack (..., n, n), n capped at poly.MAX_DEGREE: a Polynomial for one
+    matrix, ascending rows (..., n + 1) for a stack, bit for bit the
+    one-matrix recursion's.  Non-finite entries or coefficients raise ValueError."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("square matrix required")
-    n = M.shape[0]
+    n = M.shape[-1]
     if n > poly.MAX_DEGREE:
         raise ValueError(f"matrix order {n} exceeds char_poly cap {poly.MAX_DEGREE}")
+    if not np.isfinite(M).all():
+        raise ValueError("char_poly: matrix has non-finite entries")
     # det(zI - M) = z^n + c[1] z^{n-1} + ... + c[n]
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    Mk = np.zeros_like(M)
-    for k in range(1, n + 1):
-        Mk = M @ (Mk + c[k - 1] * np.eye(n))
-        c[k] = -np.trace(Mk) / k
-    ascending = c[::-1] * (-1.0) ** n
-    return Polynomial(tuple(ascending))
+    c = np.zeros(M.shape[:-2] + (n + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    Mk = np.zeros(M.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            Mk.reshape(M.shape[:-2] + (n * n,))[..., :: n + 1] += c[..., k - 1, None]
+            Mk = M @ Mk
+            c[..., k] = -np.trace(Mk, axis1=-2, axis2=-1) / k
+    if not np.isfinite(c).all():
+        raise ValueError("char_poly: coefficients overflow")
+    ascending = c[..., ::-1] * (-1.0) ** n
+    return Polynomial(tuple(ascending)) if M.ndim == 2 else ascending
 
 
 def principal_submatrix(M, i: int) -> np.ndarray:
     M = np.asarray(M)
+    if not 0 <= i < M.shape[0]:
+        raise ValueError(f"principal_submatrix: index {i} outside 0..{M.shape[0] - 1}")
     return np.delete(np.delete(M, i, axis=0), i, axis=1)
 
 
@@ -276,11 +294,15 @@ def spectral_radius(E) -> float:
 
 
 def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors via the complex Schur form,
-    which is diagonal (to 1e-7 of its largest entry) when the matrix is normal."""
-    import scipy.linalg  # here, not at module level: CLI commands without a Schur form skip it
+    """Eigenvalues and orthonormal eigenvectors from the complex Schur form, by
+    the zgees call of scipy.linalg.schur(output="complex") without its wrapper;
+    the form is diagonal (to 1e-7 of its largest entry) when the matrix is normal."""
+    from scipy.linalg import lapack  # here, not at module level: CLI commands without a Schur form skip it
 
-    T, Z = scipy.linalg.schur(entries, output="complex")
+    lwork = int(lapack.zgees(lambda z: None, entries, lwork=-1)[-2][0].real)
+    T, _, _, Z, _, info = lapack.zgees(lambda z: None, entries, lwork=lwork)  # unsorted
+    if info != 0:
+        raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
     off = np.abs(T - np.diag(np.diagonal(T))).max()
     if off > 1e-7 * np.abs(T).max():
         raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off:.3e})")

@@ -39,16 +39,18 @@ def sort_lex(points) -> list[complex]:
 def disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """n seeded points uniform in the closed unit disk.
 
-    Rejection from the square: each candidate is one rng.uniform(-1, 1, 2)
-    draw, kept when x^2 + y^2 <= 1.  Suite corpora and generated files
-    depend on this exact sequence of draws.
+    Rejection from the square: candidates are uniform(-1, 1) pairs (x, y),
+    kept when x^2 + y^2 <= 1.  The k missing points take at least k more
+    candidates, drawn in one rng.uniform(-1, 1, (k, 2)) call, so the points
+    and the generator's state are those of one draw per candidate, which
+    suite corpora and generated files depend on.
     """
-    pts: list[complex] = []
+    pts = np.empty(0, dtype=complex)
     while len(pts) < n:
-        x, y = rng.uniform(-1.0, 1.0, 2)
-        if x * x + y * y <= 1.0:
-            pts.append(complex(x, y))
-    return np.array(pts)
+        xy = rng.uniform(-1.0, 1.0, (n - len(pts), 2))
+        x, y = xy.T
+        pts = np.concatenate([pts, xy[x * x + y * y <= 1.0].view(complex)[:, 0]])
+    return pts
 
 
 def cluster_indices(points, tol: float) -> list[list[int]]:

@@ -281,6 +281,17 @@ class TestNNLSKernel:
         if kind == "infeasible":
             assert infeasible == 80
 
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "infeasible"])
+    def test_column_sums_passed_in_change_nothing(self, kind, rng):
+        # solve_standard_form sums |A| once and hands each call its slice
+        for A, b in _systems(rng, kind, 40):
+            cols = rng.random(A.shape[1]) < 0.7
+            cols[0] = True
+            sums = np.abs(A).sum(axis=0)
+            x, r = lp._nnls(A[:, cols], b, None, sums[cols])
+            x_ref, r_ref = lp._nnls(A[:, cols], b)
+            assert x.tobytes() == x_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+
     def test_pass_cap_names_stage(self, monkeypatch):
         # a least-squares solve that always favours the column just added
         # makes the active set cycle; the kernel stops after 3n passes

@@ -8,7 +8,7 @@ import scipy.linalg
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import Polynomial, sort_lex
 from polycrit import normal_ops as no
-from polycrit import poly
+from polycrit import poly, suite
 
 from conftest import disk_points, roots_of_unity
 
@@ -25,6 +25,24 @@ class TestDftUnitary:
     def test_unitarity(self, n):
         U = no.dft_unitary(n)
         assert np.abs(U @ U.conj().T - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65])
+    def test_read_only_closed_form(self, n):
+        U = no.dft_unitary(n)
+        k = np.arange(1, n + 1)
+        assert np.array_equal(U, np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n))
+        with pytest.raises(ValueError, match="read-only"):
+            U[0, 0] = 0.0
+        U2, Uh = no._dft_pair(n)
+        assert U2 is U and not Uh.flags.writeable
+        assert np.array_equal(Uh, U.conj().T)
+
+    def test_cache_bounded_by_degree_cap(self):
+        for n in range(1, 2 * poly.MAX_DEGREE):
+            no.dft_unitary(n)
+        assert no._dft_pair.cache_info().currsize <= poly.MAX_DEGREE
+
+
 
 
 class TestNormalFromRoots:
@@ -68,6 +86,15 @@ class TestNormalFromRoots:
             Ak = Ak @ A
 
 
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_entries_are_the_fourier_product(self, n):
+        roots = poly.disk_points(np.random.default_rng(n), n)
+        k = np.arange(1, n + 1)
+        U = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+        ref = U.conj().T @ np.diag(roots) @ U
+        assert no.normal_from_roots(roots).entries.tobytes() == ref.tobytes()
+
+
 class TestRandomNormal:
     def test_deterministic_per_seed(self, rng):
         roots = disk_points(rng, 4)
@@ -109,6 +136,26 @@ class TestCharPoly:
         with pytest.raises(ValueError, match="cap"):
             no.char_poly(np.eye(65))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="char_poly: matrix has non-finite"):
+            no.char_poly([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="char_poly: matrix has non-finite"):
+            no.char_poly(np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]]))
+
+    def test_overflowing_coefficients_raise(self):
+        # the constant term 1e400 is not representable
+        with pytest.raises(ValueError, match="char_poly: coefficients overflow"):
+            no.char_poly(np.diag([1e200, 1e200]))
+
+    def test_stack_gives_coefficient_rows(self, rng):
+        M = rng.standard_normal((2, 3, 4, 4))
+        rows = no.char_poly(M)
+        assert rows.shape == (2, 3, 5)
+        assert np.array_equal(rows[1, 2], no.char_poly(M[1, 2]).coeffs)
+        with pytest.raises(ValueError, match="square"):
+            no.char_poly(np.zeros((3, 4, 5)))
+
     @staticmethod
     def _mp_product(roots, derivative=False):
         """Ascending coefficients of prod (z - r), or of its derivative,
@@ -141,6 +188,89 @@ class TestCharPoly:
         for i in (0, 31, 63):
             got = np.array(no.char_poly(no.principal_submatrix(A.entries, i)).coeffs) * (-1.0) ** 63 * 64
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def per_matrix_faddeev_leverrier(M):
+    """Ascending coefficients of det(M - z I): the one-matrix recursion
+    char_poly ran before it took stacks, kept as the bitwise reference."""
+    n = M.shape[0]
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = 1.0
+    Mk = np.zeros_like(M)
+    for k in range(1, n + 1):
+        Mk = M @ (Mk + c[k - 1] * np.eye(n))
+        c[k] = -np.trace(Mk) / k
+    return c[::-1] * (-1.0) ** n
+
+
+class TestStackedFaddeevLeverrier:
+    """char_poly on a stack (..., n, n) gives every matrix the coefficients
+    of the one-matrix recursion, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["fourier", "haar"])
+    def test_bitwise_equal_to_per_matrix_loop(self, kind):
+        for n in range(2, poly.MAX_DEGREE + 1):
+            roots = poly.disk_points(np.random.default_rng(n), n)
+            A = no.normal_from_roots(roots) if kind == "fourier" else no.random_normal(roots, seed=n)
+            picks = sorted({0, n // 2, n - 1})
+            subs = np.array([no.principal_submatrix(A.entries, i) for i in picks])
+            rows = no.char_poly(subs)
+            for sub, row in zip(subs, rows):
+                assert row.tobytes() == per_matrix_faddeev_leverrier(sub).tobytes()
+            whole = np.array(no.char_poly(A.entries).coeffs)
+            assert whole.tobytes() == per_matrix_faddeev_leverrier(A.entries).tobytes()
+
+    def test_criterion_07_makes_one_call_per_matrix(self, monkeypatch):
+        calls = []
+        char_poly = no.char_poly
+
+        def counted(M):
+            calls.append(np.shape(M))
+            return char_poly(M)
+
+        monkeypatch.setattr(no, "char_poly", counted)
+        (check,) = suite.criterion_07_differentiator()
+        assert check.passed
+        assert len(calls) == 900
+        assert all(shape == (n, n - 1, n - 1) for shape, n in zip(calls, np.repeat(range(2, 11), 100)))
+
+
+class TestPrincipalSubmatrix:
+    def test_deletes_row_and_column(self):
+        M = np.arange(9.0).reshape(3, 3)
+        assert np.array_equal(no.principal_submatrix(M, 1), [[0.0, 2.0], [6.0, 8.0]])
+
+    @pytest.mark.parametrize("i", [-1, 3, 10])
+    def test_index_outside_range_raises(self, i):
+        with pytest.raises(ValueError, match="principal_submatrix: index"):
+            no.principal_submatrix(np.eye(3), i)
+
+
+class TestEigenbasis:
+    """_orthonormal_eigenbasis calls zgees as scipy.linalg.schur does."""
+
+    @pytest.mark.parametrize("kind", ["fourier", "haar"])
+    def test_bitwise_equal_to_scipy_schur(self, kind):
+        for n in range(2, poly.MAX_DEGREE + 1):
+            roots = poly.disk_points(np.random.default_rng(n), n)
+            A = no.normal_from_roots(roots) if kind == "fourier" else no.random_normal(roots, seed=n)
+            lam, Z = no._orthonormal_eigenbasis(A.entries)
+            T, Z_ref = scipy.linalg.schur(A.entries, output="complex")
+            assert lam.tobytes() == np.diagonal(T).tobytes()
+            assert Z.tobytes() == Z_ref.tobytes()
+
+    def test_zgees_failure_names_stage(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        zgees = lapack.zgees
+
+        def failing(select, a, lwork):
+            out = zgees(select, a, lwork=lwork)
+            return out if lwork == -1 else out[:-1] + (2,)
+
+        monkeypatch.setattr(lapack, "zgees", failing)
+        with pytest.raises(ValueError, match="eigendecomposition failed: zgees returned info = 2"):
+            no._orthonormal_eigenbasis(np.diag([1.0 + 0j, 2.0]))
 
 
 class TestCompression:

@@ -46,6 +46,13 @@ class TestDiskPoints:
             assert pts.dtype == complex and np.array_equal(pts, reference_disk_points(ref, n))
             assert np.abs(pts).max() <= 1.0
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 64])
+    def test_generator_state_matches_reference_loop(self, n):
+        got, ref = np.random.default_rng(n), np.random.default_rng(n)
+        pts = poly.disk_points(got, n)
+        assert pts.tobytes() == reference_disk_points(ref, n).astype(complex).tobytes()
+        assert got.uniform(size=4).tobytes() == ref.uniform(size=4).tobytes()
+
 
 class TestFromRoots:
     def test_difference_of_squares(self):
