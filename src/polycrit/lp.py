@@ -77,47 +77,76 @@ def _lapack():
     return lapack
 
 
+@cache
+def _gelsy_lwork(m: int, n: int) -> int:
+    """dgelsy's workspace size for an m x n block and one right-hand side."""
+    return int(_lapack().dgelsy_lwork(m, n, 1, _EPS)[0])
+
+
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares solution of A z = b by LAPACK's complete orthogonal
     factorisation (dgelsy) at rcond eps, the gelsy path of scipy.linalg.lstsq
-    without its wrapper's per-call overhead."""
-    lapack = _lapack()
+    without its wrapper's per-call overhead.  A is scratch: dgelsy
+    factorises a Fortran-ordered A in place instead of copying it."""
     m, n = A.shape
-    work, _ = lapack.dgelsy_lwork(m, n, 1, _EPS)
     rhs = np.zeros((max(m, n), 1))
     rhs[:m, 0] = b
-    _, z, _, _, info = lapack.dgelsy(A, rhs, np.zeros(n, dtype=np.int32), _EPS, int(work))
+    _, z, _, _, info = _lapack().dgelsy(
+        A, rhs, np.zeros(n, dtype=np.int32), _EPS, _gelsy_lwork(m, n), overwrite_a=1, overwrite_b=1
+    )
     if info != 0:
         raise ValueError(f"lstsq: dgelsy returned info = {info}")
     return z[:n, 0]
 
 
-def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None) -> tuple[np.ndarray, np.ndarray]:
+def _passive_solve(AT: np.ndarray, P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on the columns P of A, held as its transpose AT: the
+    solution z, zero off P, and its entries on P.  The block goes to
+    _lstsq in Fortran order, so dgelsy needs no copy of it."""
+    cols = P.nonzero()[0]
+    z = np.zeros(len(P))
+    zp = _lstsq(AT.take(cols, axis=0).T, b) if len(cols) else z[:0]
+    z[cols] = zp
+    return z, zp
+
+
+def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None, b_max=None) -> tuple[np.ndarray, np.ndarray]:
     """Lawson-Hanson active-set NNLS: x >= 0 minimising ||A x - b||_2, and
-    its residual r = b - A x.
+    its residual r = b - A x; with no columns, x = [] and r = b.
 
     Each outer pass moves the index with the largest dual value w = A^T r
     above rounding into the passive set P, unless least squares on P would
     give it no positive value (it is then skipped until P changes, as in
     Lawson and Hanson's code).  Each inner pass steps from x towards the
     least squares solution on P until a coordinate reaches 0 and drops it,
-    so x >= 0 throughout.  At the optimum w <= tol off P (tol from the column
-    sums of |A|, col_sums if given).  A start x0 >= 0 must be the least
-    squares solution on its own support (as every NNLS optimum is); P starts
-    as that support.  Raises NNLSIterationError after 3n outer passes.
+    so x >= 0 throughout.  At the optimum w <= tol off P, tol from the
+    largest column sum of |A| and max |b|; a caller that solves many
+    systems on columns of one matrix passes its col_sums and b_max in.  A
+    start x0 >= 0 must be the least squares solution on its own support
+    (as every NNLS optimum is); P starts as that support.  P is one mask
+    updated in place, the skipped indices a list, and least squares on P
+    goes through _lstsq (_passive_solve).  Raises NNLSIterationError
+    after 3n outer passes.
     """
     m, n = A.shape
+    x = np.zeros(n) if x0 is None else x0.copy()
+    r = b - A @ x
+    if n == 0:
+        return x, r
     if col_sums is None:
         col_sums = np.abs(A).sum(axis=0)
-    tol = 10 * max(m, n) * _EPS * col_sums.max(initial=0.0) * np.abs(b).max(initial=0.0)
-    x = np.zeros(n) if x0 is None else x0.copy()
+    if b_max is None:
+        b_max = np.abs(b).max(initial=0.0)
+    tol = 10 * max(m, n) * _EPS * np.maximum.reduce(col_sums) * b_max
+    AT = A.T
     P = x > 0.0
-    skipped = np.zeros(n, dtype=bool)
-    r = b - A @ x
+    skipped: list[int] = []
     passes = 0
     while True:
-        w = A.T @ r
-        w[P | skipped] = -np.inf
+        w = AT @ r
+        w[P] = -np.inf
+        if skipped:
+            w[skipped] = -np.inf
         j = w.argmax()
         if not w[j] > tol:
             return x, r
@@ -125,24 +154,21 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None) -> tuple[np.ndar
             raise NNLSIterationError(passes, float(np.linalg.norm(r)))
         passes += 1
         P[j] = True
-        z = np.zeros(n)
-        z[P] = _lstsq(A[:, P], b)
+        z, zp = _passive_solve(AT, P, b)
         if not z[j] > 0.0:
             P[j] = False
-            skipped[j] = True
+            skipped.append(j)
             continue
-        skipped[:] = False
-        while (z[P] <= 0.0).any():
-            Q = np.flatnonzero(P & (z <= 0.0))
+        skipped.clear()
+        while np.count_nonzero(zp <= 0.0):
+            Q = (P & (z <= 0.0)).nonzero()[0]
             ratio = x[Q] / np.maximum(x[Q] - z[Q], np.finfo(float).tiny)
             k = ratio.argmin()
             x += ratio[k] * (z - x)
             x[Q[k]] = 0.0
             P &= x > 0.0
             x[~P] = 0.0
-            z = np.zeros(n)
-            if P.any():
-                z[P] = _lstsq(A[:, P], b)
+            z, zp = _passive_solve(AT, P, b)
         x = z
         r = b - A @ x
 
@@ -163,6 +189,12 @@ def solve_standard_form(A, b, c) -> tuple[np.ndarray, np.ndarray]:
     theta ||r||^2) until the next column's reduced cost reaches 0.  Raises
     SimplexIterationError after _MAX_STEPS steps, or when no column limits
     the step (the system A x = b, x >= 0 is infeasible).
+
+    The columns of A, their |A| sums and the scales of A, b and c are
+    taken once per LP; each step hands _nnls the admissible columns as
+    one Fortran-ordered block (the layout A[:, mask] has, so every
+    product rounds as it would on that copy), with their column sums
+    and max |b|.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -171,32 +203,35 @@ def solve_standard_form(A, b, c) -> tuple[np.ndarray, np.ndarray]:
     # rounding bounds of c - A^T pi and of b - A x, from the largest column
     # sum and entry of |A|, so that a column that blocked the last step counts
     # as admissible and an optimal residual counts as vanishing
-    gamma = 10 * rows * _EPS
+    gamma = float(10 * rows * _EPS)
     AT, absA = A.T, np.abs(A)
+    columns = AT.copy()  # row k is column k of A
     col_sums = absA.sum(axis=0)
-    col_sum, entry = col_sums.max(initial=0.0), absA.max(initial=0.0)
-    c_max, b_max = np.abs(c).max(initial=0.0), np.abs(b).max(initial=0.0)
+    col_sum, entry = float(col_sums.max(initial=0.0)), float(absA.max(initial=0.0))
+    c_max, b_max = float(np.abs(c).max(initial=0.0)), float(np.abs(b).max(initial=0.0))
     pi = np.zeros(rows)
     x = np.zeros(cols)
     for step in range(1, _MAX_STEPS + 1):
         d = c - AT @ pi
-        admissible = (d <= gamma * (c_max + col_sum * np.abs(pi).max())) | (x > 0.0)
-        xa, r = _nnls(A[:, admissible], b, x[admissible], col_sums[admissible])
-        x = np.zeros(cols)
-        x[admissible] = xa
-        if np.abs(r).max(initial=0.0) <= gamma * (entry * x.sum() + b_max):
+        admissible = (d <= gamma * (c_max + col_sum * float(np.maximum.reduce(np.abs(pi))))) | (x > 0.0)
+        on = admissible.nonzero()[0]
+        xa, r = _nnls(columns.take(on, axis=0).T, b, x.take(on), col_sums.take(on), b_max)
+        x.fill(0.0)
+        x[on] = xa
+        if float(np.maximum.reduce(np.abs(r))) <= gamma * (entry * float(np.add.reduce(x)) + b_max):
             support = x > 0.0
             if d[support].any():
                 pi += _lstsq(A[:, support].T, d[support])
             return x, pi
         g = AT @ r
         blocking = ~admissible & (g > 0.0)
-        if not blocking.any():
+        ratio = d[blocking] / g[blocking]
+        if not len(ratio):
             raise SimplexIterationError(
                 f"lspd: step {step} found no blocking column (infeasible system); "
                 f"residual {np.linalg.norm(r):.3e}"
             )
-        pi += np.min(d[blocking] / g[blocking]) * r
+        pi += np.minimum.reduce(ratio) * r
     raise SimplexIterationError(
         f"lspd: {_MAX_STEPS} steps without a vanishing residual; residual {np.linalg.norm(r):.3e}"
     )
@@ -259,7 +294,7 @@ def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
     A[:n2, m + n2 :] = np.eye(n2)
     b = np.zeros(n2 + 1)
     b[n2] = 1.0
-    cost = np.r_[np.zeros(m), np.ones(2 * n2)]
+    cost = np.concatenate([np.zeros(m), np.ones(2 * n2)])
     _, pi = solve_standard_form(A, b, cost)
     u = np.clip(-pi[:n2], -1.0, 1.0)
     return size * float(pi[n2]), u[:n] + 1j * u[n:]

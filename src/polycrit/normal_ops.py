@@ -11,17 +11,18 @@ one Schur form; char_poly serves the differentiator identity itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .lp import in_convex_hull
 from . import poly
-from .poly import Polynomial, RootSet, cluster_indices
+from .poly import Polynomial, cluster_indices
 
 NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
 COMPRESSION_TOL = 1e-8  # compression_spectrum groups the parent spectrum at this distance
 INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
+_BLOCK_ENTRIES = 4096  # compression_spectra takes its stack in blocks of about this many entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,12 +47,21 @@ def as_normal(matrix) -> NormalMatrix:
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
+    return NormalMatrix(entries=A, normality_residual=float(_normality_residuals(A)))
+
+
+def _normality_residuals(A: np.ndarray) -> np.ndarray:
+    """||A A* - A* A||_max of each matrix of a stack (..., n, n); raises
+    ValueError unless every one is finite and within NORMALITY_TOL of
+    its max |A_ij|^2."""
     if not np.isfinite(A).all():
         raise ValueError("normality check: matrix has non-finite entries")
-    res = float(np.abs(A @ A.conj().T - A.conj().T @ A).max())
-    if res > NORMALITY_TOL * float(np.abs(A).max(initial=0.0)) ** 2:
-        raise ValueError(f"matrix is not normal within tolerance: residual {res:.3e}")
-    return NormalMatrix(entries=A, normality_residual=res)
+    AH = A.conj().swapaxes(-1, -2)
+    res = np.abs(A @ AH - AH @ A).max(axis=(-2, -1))
+    bad = res > NORMALITY_TOL * np.abs(A).max(axis=(-2, -1), initial=0.0) ** 2
+    if bad.any():
+        raise ValueError(f"matrix is not normal within tolerance: residual {res[bad][0]:.3e}")
+    return res
 
 
 def dft_unitary(n: int) -> np.ndarray:
@@ -167,86 +177,229 @@ class CompressionSpectrumError(ValueError):
         self.budget = budget
 
 
-def _spectral_scale(A: NormalMatrix) -> float:
-    """max |lambda| = ||A||_2 of the normal A, or 1 for the zero matrix."""
-    return float(np.abs(A._eigenbasis[0]).max()) or 1.0
+def _spectral_scale(lam: np.ndarray) -> np.ndarray:
+    """max |lambda| = ||A||_2 of a normal A from its eigenvalues (..., n),
+    or 1 for the zero matrix."""
+    s = np.abs(lam).max(axis=-1)
+    return np.where(s > 0.0, s, 1.0)
 
 
-def _parent_clusters(A: NormalMatrix, i: int, tol: float):
-    """Distinct eigenvalues of A at tol relative to max |lambda| (lex-sorted
-    centroids mu), their multiplicities and their aggregated Gauss-Lucas
-    weights W for index i, all from the one Schur form of A."""
-    lam, Z = A._eigenbasis
-    label = np.empty(len(lam), dtype=int)
-    for k, g in enumerate(cluster_indices(lam, tol * _spectral_scale(A))):
-        label[g] = k
-    mult = np.bincount(label)
-    mu = (np.bincount(label, lam.real) + 1j * np.bincount(label, lam.imag)) / mult
-    W = np.bincount(label, np.abs(Z[i, :]) ** 2)
-    order = np.lexsort((mu.imag, mu.real))
-    return mu[order], mult[order], W[order]
+def _row_groups(keys: np.ndarray):
+    """(key, rows) for each distinct value of keys (k,), rows ascending."""
+    for key in sorted(set(keys.tolist())):
+        yield key, (keys == key).nonzero()[0]
+
+
+def _lex_order(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index that sorts each row of z (g, J) by (re, im), stably, as sort_lex."""
+    return np.arange(len(z))[:, None], np.lexsort((z.imag, z.real))
+
+
+def _parent_clusters(lam: np.ndarray, Z: np.ndarray, i, tol: float) -> list:
+    """Distinct eigenvalues of each Schur form of a stack, lam (k, n) and
+    Z (k, n, n), at tol relative to max |lambda|: per number K of them,
+    the rows that have K, their lex-sorted centroids mu, multiplicities
+    and aggregated Gauss-Lucas weights W for index i (one per row, or
+    one for all), each (rows, K).
+    A stacked screen sends only rows with two eigenvalues closer than
+    tol through cluster_indices; the others are their own clusters."""
+    k, n = lam.shape
+    thr = tol * _spectral_scale(lam)
+    label = np.tile(np.arange(n), (k, 1))
+    near = np.abs(lam[:, :, None] - lam[:, None, :]) < thr[:, None, None]
+    near[:, range(n), range(n)] = False
+    for r in near.any(axis=(1, 2)).nonzero()[0]:
+        for c, g in enumerate(cluster_indices(lam[r], thr[r])):
+            label[r, g] = c
+    flat = (label + n * np.arange(k)[:, None]).ravel()
+
+    def per_label(weights=None) -> np.ndarray:
+        return np.bincount(flat, weights, minlength=k * n).reshape(k, n)
+
+    mult, re, im = per_label(), per_label(lam.real.ravel()), per_label(lam.imag.ravel())
+    W = per_label((np.abs(Z[np.arange(k), i, :]) ** 2).ravel())
+    groups = []
+    for size, rows in _row_groups(label.max(axis=1) + 1):
+        mu = (re[rows, :size] + 1j * im[rows, :size]) / mult[rows, :size]
+        order = _lex_order(mu)
+        groups.append((rows, mu[order], mult[rows, :size][order], W[rows, :size][order]))
+    return groups
 
 
 def _pf(mu: np.ndarray, W: np.ndarray, x: np.ndarray, k: int):
-    """Taylor callback of f(z) = sum W / (z - mu) for poly._resolve_multiple:
+    """Taylor values of f(z) = sum W / (z - mu) over a stack, mu and W
+    (g, K), at the points x (g, J):
     t_j(x) = f^(j)(x) / j! = (-1)^j sum W / (x - mu)^(j+1) for j = 0..k,
     with the backward-error budget of each value,
-    gamma_j * (sum W |x-mu|^(-j-1) + (|x| + |mu|) sum W |x-mu|^(-j-2))."""
-    inv = 1.0 / (x[:, None] - mu)
-    w = W * (1.0 + (np.abs(x)[:, None] + np.abs(mu)) * np.abs(inv))
-    t = np.empty((k + 1, len(x)), dtype=complex)
-    b = np.empty((k + 1, len(x)))
+    gamma_j * (sum W |x-mu|^(-j-1) + (|x| + |mu|) sum W |x-mu|^(-j-2)),
+    both (k + 1, g, J).  Each row is bit for bit the row on its own."""
+    inv = 1.0 / (x[:, :, None] - mu[:, None, :])
+    w = W[:, None, :] * (1.0 + (np.abs(x)[:, :, None] + np.abs(mu)[:, None, :]) * np.abs(inv))
+    t = np.empty((k + 1,) + x.shape, dtype=complex)
+    b = np.empty((k + 1,) + x.shape)
+    Wc = W[:, :, None]
     p = inv
     for j in range(k + 1):
-        t[j] = p @ W
-        b[j] = poly._gamma(len(mu), j) * (np.abs(p) * w).sum(axis=1)
+        t[j] = (p @ Wc)[..., 0]
+        b[j] = poly._gamma(mu.shape[1], j) * (np.abs(p) * w).sum(axis=-1)
         p = -p * inv
     return t, b
 
 
-def _free_zeros(mu: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attached clusters and the free zeros of f(z) = sum W / (z - mu).
+def _row_taylor(mu: np.ndarray, W: np.ndarray):
+    """Taylor callback of one row's f for poly._resolve_multiple."""
+
+    def taylor(x: np.ndarray, k: int):
+        t, b = _pf(mu[None], W[None], x[None], k)
+        return t[:, 0], b[:, 0]
+
+    return taylor
+
+
+def _free_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Free points of each row of a stack of clusters mu, W (g, K): the
+    free zeros of f(z) = sum W / (z - mu), then the centres of detached
+    clusters, K - 1 points per row.
 
     A cluster whose weight is too small to move its free zero off mu by a
     representable amount (e_i orthogonal to its eigenspace, up to
     rounding) is detached: it keeps its full multiplicity and leaves f.
-    The free zeros start as LAPACK eigenvalues of diag(mu) compressed to
-    the complement of sqrt(W), whose characteristic polynomial is the
-    numerator of f.  Starts that stalled around a multiple zero are
-    merged by poly._resolve_multiple, the resolver find_roots uses, and
-    those merges are final; every other start is polished by Newton on f,
-    whose first step reuses the resolver's screen values, until it meets
-    the budget of f, or raises CompressionSpectrumError.
+    Rows are solved together per number of attached clusters.
     """
-    K = len(mu)
-    rho = float(np.abs(mu).max())
-    d = mu[:, None] - mu
-    np.fill_diagonal(d, np.inf)
-    attached = W > poly._gamma(K, 0) * rho * np.abs((1.0 / d) @ W)
-    mu, W = mu[attached], W[attached]
-    K = len(mu)
+    g, K = mu.shape
+    rho = np.abs(mu).max(axis=1)
+    d = mu[:, :, None] - mu[:, None, :]
+    d[:, range(K), range(K)] = np.inf
+    attached = W > poly._gamma(K, 0) * rho[:, None] * np.abs(((1.0 / d) @ W[:, :, None])[..., 0])
+    if attached.all():
+        return _attached_zeros(mu, W)
+    free = np.empty((g, K - 1), dtype=complex)
+    for size, rows in _row_groups(attached.sum(axis=1)):
+        on, m, w = attached[rows], mu[rows], W[rows]
+        kept = (len(rows), size)
+        free[rows] = np.concatenate(
+            [_attached_zeros(m[on].reshape(kept), w[on].reshape(kept)), m[~on].reshape(len(rows), K - size)],
+            axis=1,
+        )
+    return free
+
+
+def _attached_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Zeros of f(z) = sum W / (z - mu) over a stack (g, K) of attached
+    clusters, (g, K - 1).
+
+    They start as LAPACK eigenvalues of diag(mu) compressed to the
+    complement of sqrt(W), whose characteristic polynomial is the
+    numerator of f.  Starts that stalled around a multiple zero are
+    merged by poly._resolve_multiple, the resolver find_roots uses, run
+    only on the rows where the stacked screen finds two such starts; those
+    merges are final.  Every other start is polished by Newton on f, row
+    by row as poly._newton polishes one row, until it meets the budget of
+    f, or raises CompressionSpectrumError.
+    """
+    g, K = mu.shape
     if K < 2:
-        return attached, np.empty(0, dtype=complex)
-    u = np.sqrt(W / W.sum())
-    u[0] += 1.0
-    Q = np.eye(K)[:, 1:] - u[:, None] * u[1:] * (2.0 / (u @ u))
-    z = np.linalg.eigvals((Q.T * mu) @ Q).astype(complex)
-    taylor = partial(_pf, mu, W)
-    z, done, (t, b) = poly._resolve_multiple(z, taylor)
-    rest = np.flatnonzero(~done)
-    x, t, b = poly._newton(z[rest], taylor, 1, (t[:, rest], b[:, rest]))
-    res, budget = np.abs(t[0]), b[0]
-    bad = np.flatnonzero(~(res <= budget))
-    if len(bad):
-        j = bad[np.argmax(res[bad] - budget[bad])]
-        raise CompressionSpectrumError(complex(x[j]), float(res[j]), float(budget[j]))
-    z[rest] = x
-    return attached, z
+        return np.empty((g, 0), dtype=complex)
+    u = np.sqrt(W / W.sum(axis=1, keepdims=True))
+    u[:, 0] += 1.0
+    Q = np.eye(K)[:, 1:] - u[:, :, None] * u[:, None, 1:] * (2.0 / (u[:, None, :] @ u[:, :, None]))
+    z = np.linalg.eigvals((Q.transpose(0, 2, 1) * mu[:, None, :]) @ Q).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t, b = _pf(mu, W, z, 1)
+        shaky = poly._shaky(z, t, b).sum(axis=1) > 1
+    merged = np.zeros(z.shape, dtype=bool)
+    for r in shaky.nonzero()[0]:
+        z[r], merged[r], _ = poly._resolve_multiple(z[r], _row_taylor(mu[r], W[r]))
+    return _polish(mu, W, z, merged, t, b)
+
+
+def _polish(mu, W, x, keep, t, b) -> np.ndarray:
+    """Newton on f from the points x (g, J) outside keep, with t, b =
+    _pf(mu, W, x, 1) already evaluated; a row stops once each of its
+    points meets its budget, or after poly._NEWTON_MAX steps, as
+    poly._newton does for one row at m = 1."""
+    live = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(poly._NEWTON_MAX + 1):
+            if it:
+                t[:, live], b[:, live] = _pf(mu[live], W[live], x[live], 1)
+            met = (np.abs(t[0, live]) <= b[0, live]) | keep[live]
+            live = live[~met.all(axis=1)] if it < poly._NEWTON_MAX else live[:0]
+            if not len(live):
+                break
+            # 1 * t_1 is poly._newton's m * t_m, so the steps round alike
+            step = x[live] - t[0, live] / (1 * t[1, live])
+            x[live] = np.where(keep[live], x[live], step)
+    bad = ~(np.abs(t[0]) <= b[0]) & ~keep
+    if bad.any():
+        r = bad.any(axis=1).nonzero()[0][0]
+        j = bad[r].nonzero()[0]
+        j = j[np.argmax(np.abs(t[0, r, j]) - b[0, r, j])]
+        raise CompressionSpectrumError(complex(x[r, j]), float(np.abs(t[0, r, j])), float(b[0, r, j]))
+    return x
+
+
+def _check_compression(n: int, i) -> None:
+    i = np.asarray(i)
+    if not ((0 <= i) & (i < n)).all():
+        raise ValueError("index out of range")
+    if n > poly.MAX_DEGREE:
+        raise ValueError(f"matrix order {n} exceeds compression order cap {poly.MAX_DEGREE}")
+
+
+def _compress(lam: np.ndarray, Z: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (k, n) and compressed spectra (k, n - 1) from the Schur
+    forms lam (k, n), Z (k, n, n) of a stack, rows lex-sorted; see
+    compression_spectrum."""
+    k, n = lam.shape
+    full = np.empty((k, n), dtype=complex)
+    sub = np.empty((k, n - 1), dtype=complex)
+    for rows, mu, mult, W in _parent_clusters(lam, Z, i, COMPRESSION_TOL):
+        g, K = mu.shape
+        full[rows] = np.repeat(mu.ravel(), mult.ravel()).reshape(g, n)
+        forced = np.repeat(mu.ravel(), (mult - 1).ravel()).reshape(g, n - K)
+        pts = np.concatenate([forced, _free_zeros(mu, W)], axis=1)
+        sub[rows] = pts[_lex_order(pts)]
+    return full, sub
+
+
+def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a stack As (k, n, n) of normal matrices of one order and
+    of each with row/column i deleted (one index for all, or one per
+    matrix): arrays (k, n) and (k, n - 1) whose rows are in RootSet
+    format (lex-sorted, a multiple eigenvalue as one value repeated), each
+    row bit for bit compression_spectrum's.
+
+    A stacked normality check (as as_normal), one zgees per matrix with
+    the workspace size taken once per order, then every other step of
+    compression_spectrum over the stack: the cluster screen, the
+    Householder compression, np.linalg.eigvals, the partial-fraction
+    Taylor values and the Newton polish; poly._resolve_multiple runs only
+    on the rows with shaky starts.  The stack goes through in blocks of
+    about _BLOCK_ENTRIES matrix entries, which bounds the temporaries.
+    Raises ValueError on a non-normal or non-finite matrix, and
+    CompressionSpectrumError as compression_spectrum does.
+    """
+    As = np.asarray(As, dtype=complex)
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise ValueError("stack of square matrices (k, n, n) required")
+    k, n = As.shape[:2]
+    _check_compression(n, i)
+    i = np.broadcast_to(i, k)
+    full = np.empty((k, n), dtype=complex)
+    sub = np.empty((k, n - 1), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for s in range(0, k, step):
+        block = As[s : s + step]
+        _normality_residuals(block)
+        full[s : s + step], sub[s : s + step] = _compress(*_orthonormal_eigenbasis(block), i[s : s + step])
+    return full, sub
 
 
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     """Spectra of A and of A with row/column i deleted, in RootSet format
-    (lex-sorted, a k-fold eigenvalue as one value repeated k times).
+    (lex-sorted, a k-fold eigenvalue as one value repeated k times): the
+    batch of one of compression_spectra, on the Schur form A keeps.
 
     Both come from one Schur form A = Z diag(lambda) Z* and the paper's
     Gauss-Lucas identity
@@ -261,52 +414,70 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     cluster mu_k of size m_k with aggregated weight W_k leaves m_k - 1
     forced copies of mu_k in the submatrix (all m_k when W_k vanishes),
     and the other eigenvalues are the free zeros of sum W_k / (z - mu_k),
-    found by _free_zeros without forming any characteristic polynomial.  The submatrix can be defective
-    (the compression of scaled roots of unity is nilpotent); its multiple
-    free eigenvalues come back as exactly repeated points.  The merges of
-    poly._resolve_multiple alone decide their multiplicity: a free
-    eigenvalue next to a forced copy stays where it was found, however
-    close.  The order of A is capped at poly.MAX_DEGREE.
+    found by _free_zeros without forming any characteristic polynomial.
+    The submatrix can be defective (the compression of scaled roots of
+    unity is nilpotent); its multiple free eigenvalues come back as
+    exactly repeated points.  The merges of poly._resolve_multiple alone
+    decide their multiplicity: a free eigenvalue next to a forced copy
+    stays where it was found, however close.  The order of A is capped at
+    poly.MAX_DEGREE.
     """
-    if not 0 <= i < A.n:
-        raise ValueError("index out of range")
-    if A.n > poly.MAX_DEGREE:
-        raise ValueError(f"matrix order {A.n} exceeds compression order cap {poly.MAX_DEGREE}")
-    mu, mult, W = _parent_clusters(A, i, COMPRESSION_TOL)
-    attached, free = _free_zeros(mu, W)
-    forced = np.repeat(mu, np.where(attached, mult - 1, mult))
-    full = tuple(np.repeat(mu, mult))
-    sub = RootSet.from_points(np.concatenate([forced, free])).points
-    return SpectrumPair(eig_full=full, eig_sub=sub, source_index=i)
+    _check_compression(A.n, i)
+    lam, Z = A._eigenbasis
+    full, sub = _compress(lam[None], Z[None], i)
+    return SpectrumPair(eig_full=tuple(full[0]), eig_sub=tuple(sub[0]), source_index=i)
 
 
-def spectral_variation(E1, E2) -> float:
-    """Directed Hausdorff distance from E1 to E2."""
+def spectral_variation(E1, E2):
+    """Directed Hausdorff distance from E1 to E2: a float, or one per row
+    for stacks (..., a) and (..., b)."""
     a = np.asarray(E1, dtype=complex)
     b = np.asarray(E2, dtype=complex)
-    if len(a) == 0 or len(b) == 0:
+    if a.shape[-1] == 0 or b.shape[-1] == 0:
         raise ValueError("spectral variation needs nonempty spectra")
-    return float(np.abs(a[:, None] - b[None, :]).min(axis=1).max())
+    s = np.abs(a[..., :, None] - b[..., None, :]).min(axis=-1).max(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def spectral_radius(E) -> float:
     return float(np.abs(np.asarray(E, dtype=complex)).max())
 
 
+def _unsorted(z) -> None:
+    """zgees's eigenvalue-selection callback, unused: the form is unsorted."""
+
+
+@lru_cache(maxsize=poly.MAX_DEGREE)
+def _zgees_lwork(n: int) -> int:
+    """zgees's workspace size at order n, which depends on n alone."""
+    from scipy.linalg import lapack
+
+    return int(lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+
+
 def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors from the complex Schur form, by
-    the zgees call of scipy.linalg.schur(output="complex") without its wrapper;
-    the form is diagonal (to 1e-7 of its largest entry) when the matrix is normal."""
+    """Eigenvalues and orthonormal eigenvectors of a matrix or a stack
+    (..., n, n) from the complex Schur form, by the zgees call of
+    scipy.linalg.schur(output="complex") without its wrapper, one per
+    matrix with the workspace size of its order; each form is diagonal (to
+    1e-7 of its largest entry) when the matrix is normal."""
     from scipy.linalg import lapack  # here, not at module level: CLI commands without a Schur form skip it
 
-    lwork = int(lapack.zgees(lambda z: None, entries, lwork=-1)[-2][0].real)
-    T, _, _, Z, _, info = lapack.zgees(lambda z: None, entries, lwork=lwork)  # unsorted
-    if info != 0:
-        raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
-    off = np.abs(T - np.diag(np.diagonal(T))).max()
-    if off > 1e-7 * np.abs(T).max():
-        raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off:.3e})")
-    return np.diagonal(T).copy(), Z
+    n = entries.shape[-1]
+    stack = entries.reshape(-1, n, n)
+    T, Z = np.empty_like(stack), np.empty_like(stack)
+    lwork = _zgees_lwork(n)
+    for k, A in enumerate(stack):
+        T[k], _, _, Z[k], _, info = lapack.zgees(_unsorted, A, lwork=lwork)
+        if info != 0:
+            raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
+    lam = np.diagonal(T, axis1=1, axis2=2).copy()
+    T[:, range(n), range(n)] = 0.0
+    off = np.abs(T).max(axis=(1, 2))
+    bad = off > 1e-7 * np.maximum(off, np.abs(lam).max(axis=1))
+    if bad.any():
+        raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off[bad][0]:.3e})")
+    return lam.reshape(entries.shape[:-1]), Z.reshape(entries.shape)
 
 
 def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, float]:
@@ -326,7 +497,7 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     n = A.n
     worst = 0.0
     for z in np.asarray(probes, dtype=complex):
-        if np.abs(eigvals - z).min() < 1e-3 * _spectral_scale(A):
+        if np.abs(eigvals - z).min() < 1e-3 * _spectral_scale(eigvals):
             raise ValueError(f"probe {z:.6g} too close to the spectrum (within 1e-3 ||A||_2)")
         ratio = np.linalg.det(sub - z * np.eye(n - 1)) / np.linalg.det(
             A.entries - z * np.eye(n)
@@ -351,19 +522,20 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     """
     if not 0 <= i < A.n:
         raise ValueError("index out of range")
-    centers, _, W = _parent_clusters(A, i, INTERLACE_TOL)
+    lam, Z = A._eigenbasis
+    [(_, mu, _, W)] = _parent_clusters(lam[None], Z[None], i, INTERLACE_TOL)
+    centers = mu[0]
     m = len(centers)
     # a gap barely above the clustering scale cannot be reliably told
     # apart from a multiplicity, so refuse the gray zone
-    gap = 10 * INTERLACE_TOL * _spectral_scale(A)
+    gap = 10 * INTERLACE_TOL * float(_spectral_scale(lam))
     near = [g for g in cluster_indices(centers, gap) if len(g) > 1]
     if near:
         raise ValueError(
             f"clustering ambiguity: distinct eigenvalues {centers[near[0]]} "
             f"closer than {gap:.1e}"
         )
-    attached, free = _free_zeros(centers, W)
-    free = np.concatenate([free, centers[~attached]])
+    free = _free_zeros(mu, W)[0]
     out = np.empty(m)
     for k, zk in enumerate(centers):
         num = np.prod(free - zk)
@@ -373,6 +545,7 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
             raise ValueError(f"ratio not numerically real: {val}")
         out[k] = val.real
     return out
+
 
 def eigvals_in_hull(pair: SpectrumPair, tol: float = 1e-8) -> bool:
     """Convex-hull containment of the submatrix spectrum in the parent's."""

@@ -216,6 +216,18 @@ def _leaves(tree) -> list[int]:
     return [tree] if isinstance(tree, int) else _leaves(tree[0]) + _leaves(tree[1])
 
 
+def _shaky(z: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the points of z (..., J), with Taylor orders 0 and 1 and
+    their budgets t, b (2, ..., J), whose Newton step, at least the
+    rounding level max(|t_0|, budget_0) / |t_1|, is not small against
+    their gap to the other points of their row."""
+    step = np.maximum(np.abs(t[0]), b[0]) / np.abs(t[1])
+    gaps = np.abs(z[..., :, None] - z[..., None, :])
+    J = z.shape[-1]
+    gaps[..., range(J), range(J)] = np.inf
+    return ~(step <= _SHAKY * gaps.min(axis=-1))
+
+
 def _resolve_multiple(z: np.ndarray, taylor):
     """Merge the points of z that stalled around a multiple zero of f.
 
@@ -236,10 +248,7 @@ def _resolve_multiple(z: np.ndarray, taylor):
     done = np.zeros(len(z), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t, b = taylor(z, 1)
-        step = np.maximum(np.abs(t[0]), b[0]) / np.abs(t[1])
-    gaps = np.abs(z[:, None] - z)
-    np.fill_diagonal(gaps, np.inf)
-    shaky = np.flatnonzero(~(step <= _SHAKY * gaps.min(axis=1)))
+        shaky = np.flatnonzero(_shaky(z, t, b))
 
     def merge(tree) -> None:
         idx = shaky[_leaves(tree)]

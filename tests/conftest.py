@@ -1,10 +1,17 @@
+import os
 import warnings
 
-import numpy as np
-import pytest
-from hypothesis import settings
+# one BLAS thread, as perfbench pins it, set before numpy loads: under
+# OpenBLAS's default thread pool char_poly at order >= 48 took about
+# 750 ms instead of 3-7 ms on a 2-vCPU VM with the other core busy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from polycrit import poly
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from polycrit import poly  # noqa: E402
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("polycrit", derandomize=True, deadline=None, max_examples=60, database=None)

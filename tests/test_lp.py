@@ -15,8 +15,8 @@ from polycrit.lp import (
     strict_feasibility,
     strict_optimum,
 )
-from polycrit.poly import Polynomial
-from polycrit import maximal_zero, variation_first
+from polycrit.poly import Polynomial, disk_points
+from polycrit import majorization, maximal_zero, suite, variation_first
 
 
 class TestStrictFeasibility:
@@ -310,6 +310,189 @@ class TestNNLSKernel:
             lp._nnls(A, b)
         assert err.value.passes == 6
         assert err.value.residual == 1.0
+
+
+def reference_nnls(A, b, x0=None, col_sums=None):
+    """lp._nnls as it was before its passes worked on one mask and index
+    sets, kept as the bitwise reference; least squares through lp._lstsq."""
+    m, n = A.shape
+    if col_sums is None:
+        col_sums = np.abs(A).sum(axis=0)
+    tol = 10 * max(m, n) * lp._EPS * col_sums.max(initial=0.0) * np.abs(b).max(initial=0.0)
+    x = np.zeros(n) if x0 is None else x0.copy()
+    P = x > 0.0
+    skipped = np.zeros(n, dtype=bool)
+    r = b - A @ x
+    passes = 0
+    while True:
+        w = A.T @ r
+        w[P | skipped] = -np.inf
+        j = w.argmax()
+        if not w[j] > tol:
+            return x, r
+        if passes == 3 * n:
+            raise NNLSIterationError(passes, float(np.linalg.norm(r)))
+        passes += 1
+        P[j] = True
+        z = np.zeros(n)
+        z[P] = lp._lstsq(A[:, P], b)
+        if not z[j] > 0.0:
+            P[j] = False
+            skipped[j] = True
+            continue
+        skipped[:] = False
+        while (z[P] <= 0.0).any():
+            Q = np.flatnonzero(P & (z <= 0.0))
+            ratio = x[Q] / np.maximum(x[Q] - z[Q], np.finfo(float).tiny)
+            k = ratio.argmin()
+            x += ratio[k] * (z - x)
+            x[Q[k]] = 0.0
+            P &= x > 0.0
+            x[~P] = 0.0
+            z = np.zeros(n)
+            if P.any():
+                z[P] = lp._lstsq(A[:, P], b)
+        x = z
+        r = b - A @ x
+
+
+def reference_standard_form(A, b, c):
+    """lp.solve_standard_form as it was before the columns of A were held
+    once per LP, on reference_nnls: the bitwise reference of LSPD."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    rows, cols = A.shape
+    gamma = 10 * rows * lp._EPS
+    AT, absA = A.T, np.abs(A)
+    col_sums = absA.sum(axis=0)
+    col_sum, entry = col_sums.max(initial=0.0), absA.max(initial=0.0)
+    c_max, b_max = np.abs(c).max(initial=0.0), np.abs(b).max(initial=0.0)
+    pi = np.zeros(rows)
+    x = np.zeros(cols)
+    for step in range(1, lp._MAX_STEPS + 1):
+        d = c - AT @ pi
+        admissible = (d <= gamma * (c_max + col_sum * np.abs(pi).max())) | (x > 0.0)
+        xa, r = reference_nnls(A[:, admissible], b, x[admissible], col_sums[admissible])
+        x = np.zeros(cols)
+        x[admissible] = xa
+        if np.abs(r).max(initial=0.0) <= gamma * (entry * x.sum() + b_max):
+            support = x > 0.0
+            if d[support].any():
+                pi += lp._lstsq(A[:, support].T, d[support])
+            return x, pi
+        g = AT @ r
+        blocking = ~admissible & (g > 0.0)
+        if not blocking.any():
+            raise lp.SimplexIterationError(f"lspd: step {step} found no blocking column")
+        pi += np.min(d[blocking] / g[blocking]) * r
+    raise lp.SimplexIterationError(f"lspd: {lp._MAX_STEPS} steps without a vanishing residual")
+
+
+def _bitwise(u, v) -> bool:
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+class TestLSPDReference:
+    """_nnls and solve_standard_form against the reference copies above:
+    the same x, r, pi and (t*, h) bit for bit, from the same _lstsq calls."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls = []
+        lstsq = lp._lstsq
+
+        def counted(A, b):
+            calls.append(A.shape)
+            return lstsq(A, b)
+
+        monkeypatch.setattr(lp, "_lstsq", counted)
+        return calls
+
+    def test_box_lps(self, monkeypatch, lstsq_calls):
+        forms, subproblems = [], []
+        solve, nnls = lp.solve_standard_form, lp._nnls
+
+        def form(A, b, c):
+            forms.append((A, b, c))
+            return solve(A, b, c)
+
+        def subproblem(A, b, x0=None, col_sums=None, b_max=None):
+            subproblems.append((A, b, x0, col_sums))
+            return nnls(A, b, x0, col_sums, b_max)
+
+        rng = np.random.default_rng(20240619)
+        Ms = list(_seeded_matrices(rng, 300))
+        monkeypatch.setattr(lp, "solve_standard_form", form)
+        box = [lp._box_lp(M) for M in Ms]
+        monkeypatch.setattr(lp, "solve_standard_form", reference_standard_form)
+        for M, (t, h) in zip(Ms, box):
+            t_ref, h_ref = lp._box_lp(M)
+            assert repr(t) == repr(t_ref) and _bitwise(h, h_ref)
+        for A, b, c in forms:
+            lstsq_calls.clear()
+            x, pi = solve(A, b, c)
+            count = len(lstsq_calls)
+            x_ref, pi_ref = reference_standard_form(A, b, c)
+            assert _bitwise(x, x_ref) and _bitwise(pi, pi_ref)
+            assert len(lstsq_calls) == 2 * count
+        monkeypatch.setattr(lp, "_nnls", subproblem)
+        for A, b, c in forms[:50]:
+            solve(A, b, c)
+        monkeypatch.setattr(lp, "_nnls", nnls)
+        assert len(subproblems) > 400
+        for A, b, x0, col_sums in subproblems:
+            (x, r), (x_ref, r_ref) = nnls(A, b, x0, col_sums), reference_nnls(A, b, x0, col_sums)
+            assert _bitwise(x, x_ref) and _bitwise(r, r_ref)
+
+    def test_majorization_and_dual_systems(self, monkeypatch, lstsq_calls):
+        systems = []
+        feasibility = majorization.eq_nonneg_feasibility
+
+        def capture(A, b, feas_tol=lp.FEAS_TOL):
+            systems.append((np.asarray(A, dtype=float), np.asarray(b, dtype=float)))
+            return feasibility(A, b, feas_tol)
+
+        # criterion 11's polynomials and the draws it makes between them
+        monkeypatch.setattr(majorization, "eq_nonneg_feasibility", capture)
+        rng = np.random.default_rng(suite.SEED + 3)
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            p = Polynomial.from_roots(disk_points(rng, n))
+            for k in range(1, n):
+                W, Z = majorization.tuple_W(p, 0.0, k), majorization.tuple_Z(p, 0.0, k)
+                if majorization.check_majorization(W, Z) is not None:
+                    rng.uniform(-1.0, 1.0, (10, 2))
+        assert len(systems) == 322
+        # strict_feasibility's positive-singularity systems
+        for M in _seeded_matrices(np.random.default_rng(7), 100):
+            m, n = M.shape
+            b = np.zeros(2 * n + 1)
+            b[-1] = 1.0
+            systems.append((np.vstack([M.real.T, M.imag.T, np.ones((1, m))]), b))
+        for A, b in systems:
+            lstsq_calls.clear()
+            x, r = lp._nnls(A, b)
+            count = len(lstsq_calls)
+            x_ref, r_ref = reference_nnls(A, b)
+            assert _bitwise(x, x_ref) and _bitwise(r, r_ref)
+            assert len(lstsq_calls) == 2 * count
+
+
+class TestEmptyNNLS:
+    """A system with no columns: x = [], r = b."""
+
+    def test_kernel(self):
+        b = np.array([1.0, -2.0])
+        x, r = lp._nnls(np.zeros((2, 0)), b)
+        assert x.shape == (0,) and _bitwise(r, b)
+
+    def test_nonzero_right_side_is_infeasible(self):
+        assert eq_nonneg_feasibility(np.zeros((2, 0)), np.ones(2)) is None
+
+    def test_zero_right_side_is_feasible(self):
+        x = eq_nonneg_feasibility(np.zeros((2, 0)), np.zeros(2))
+        assert isinstance(x, np.ndarray) and x.shape == (0,)
 
 
 class TestDualityExclusivity:

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from polycrit.metrics import bottleneck_match
 from polycrit.poly import Polynomial, sort_lex
@@ -520,6 +521,97 @@ class TestCompressionOracles:
             no.compression_spectrum(A, 0)
         assert isinstance(err.value, ValueError)
         assert err.value.residual > err.value.budget == 0.0
+
+
+def _stack_member(kind: str, n: int, i: int, seed: int) -> np.ndarray:
+    """A normal matrix of order n for the stack tests: Fourier on disk
+    points, Fourier on scaled roots of unity (nilpotent compression),
+    Haar with a double and a zero eigenvalue, or a Householder frame whose
+    row i has weight 0 on one eigenvalue (a detached cluster)."""
+    rng = np.random.default_rng(seed)
+    roots = poly.disk_points(rng, n)
+    if kind == "disk":
+        return no.normal_from_roots(roots).entries
+    if kind == "unity":
+        return no.normal_from_roots(roots_of_unity(n, radius=0.2 + rng.uniform())).entries
+    if kind == "repeated":
+        roots[-1] = 0.0
+        roots[0] = roots[-2] if n > 2 else 0.0
+        return no.random_normal(roots, seed=seed).entries
+    w = rng.uniform(0.1, 1.0, n)
+    w[rng.integers(n)] = 0.0
+    H = _householder_with_first_row(w / w.sum()) if w[0] < w.sum() else np.eye(n)
+    swap = np.arange(n)
+    swap[[0, i]] = swap[[i, 0]]
+    H = H[swap]  # row i of the frame carries the weights
+    return H @ np.diag(roots) @ H.T
+
+
+class TestCompressionStack:
+    """compression_spectra over a stack equals compression_spectrum on each
+    matrix, bit for bit; c08 takes one Schur form per matrix."""
+
+    @given(
+        n=st.integers(2, 8),
+        kinds=st.lists(st.sampled_from(["disk", "unity", "repeated", "detached"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**20),
+        data=st.data(),
+    )
+    def test_batch_equals_batch_of_one(self, n, kinds, seed, data):
+        # one deletion index for the stack, or one per matrix
+        if data.draw(st.booleans()):
+            index = data.draw(st.lists(st.integers(0, n - 1), min_size=len(kinds), max_size=len(kinds)))
+        else:
+            index = data.draw(st.integers(0, n - 1))
+        rows = np.broadcast_to(index, len(kinds))
+        stack = np.array([_stack_member(kind, n, i, seed + k) for k, (kind, i) in enumerate(zip(kinds, rows))])
+        full, sub = no.compression_spectra(stack, index)
+        assert full.shape == (len(kinds), n) and sub.shape == (len(kinds), n - 1)
+        for A, i, row_full, row_sub in zip(stack, rows, full, sub):
+            pair = no.compression_spectrum(no.as_normal(A), int(i))
+            assert row_full.tobytes() == np.array(pair.eig_full).tobytes()
+            assert row_sub.tobytes() == np.array(pair.eig_sub).tobytes()
+
+    def test_kinds_reach_every_path(self):
+        # the nilpotent rows go through the resolver, the repeated ones
+        # through cluster_indices, the detached ones leave f
+        n = 6
+        stack = np.array([_stack_member(kind, n, 2, 7) for kind in ("unity", "repeated", "detached")])
+        full, sub = no.compression_spectra(stack, 2)
+        assert len(set(sub[0])) == 1 and abs(sub[0, 0]) <= 1e-12  # nilpotent: a 5-fold zero
+        assert len(set(full[1])) == n - 1 and np.abs(full[1]).min() <= 1e-15  # a double and a zero
+        assert bottleneck_match(sub[2], _mp_eigvals(no.principal_submatrix(stack[2], 2))) <= 1e-13
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="stack of square"):
+            no.compression_spectra(np.eye(3), 0)
+        with pytest.raises(ValueError, match="not normal"):
+            no.compression_spectra(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            no.compression_spectra(np.full((1, 2, 2), np.nan), 0)
+        with pytest.raises(ValueError, match="index out of range"):
+            no.compression_spectra(np.array([np.eye(2)]), 2)
+        with pytest.raises(ValueError, match="index out of range"):
+            no.compression_spectra(np.array([np.eye(2), np.eye(2)]), [0, -1])
+
+    def test_criterion_08_takes_one_schur_form_per_matrix(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        zgees, calls = lapack.zgees, Counter()
+
+        def counted(select, a, lwork):
+            calls["query" if lwork == -1 else a.shape] += 1
+            return zgees(select, a, lwork=lwork)
+
+        monkeypatch.setattr(lapack, "zgees", counted)
+        suite._svar_corpus.cache_clear()
+        no._zgees_lwork.cache_clear()
+        try:
+            (check,) = suite.criterion_08_operator_bound()
+        finally:
+            suite._svar_corpus.cache_clear()
+        assert check.passed
+        assert calls == Counter({"query": 7, **{(n, n): 500 for n in range(2, 9)}})
 
 
 class TestSpectralVariation:
