@@ -17,7 +17,6 @@ import numpy as np
 
 from . import (
     jsonio,
-    lp,
     majorization,
     maximal_zero,
     metrics,
@@ -109,13 +108,7 @@ def _cmd_varfirst(args, rep: _Report, tol: float) -> None:
             "witness_h": jsonio.pairs(cert.witness_h) if cert.witness_h else None,
             "witness_mu": list(cert.witness_mu) if cert.witness_mu else None,
         }
-        rep.check(
-            "certificate-margin",
-            (cert.verdict is lp.Verdict.STRICTLY_FEASIBLE and cert.margin > lp.MARGIN_TOL)
-            or (cert.verdict is lp.Verdict.POSITIVELY_SINGULAR and cert.margin <= lp.FEAS_TOL),
-            cert.margin,
-            lp.FEAS_TOL,
-        )
+        rep.check("certificate-margin", cert.holds, cert.margin, cert.gate)
     elif args.op == "matrices":
         s = variation_first.setup(p, a)
         wanted = [w.strip().upper() for w in args.emit.split(",")]

@@ -8,16 +8,14 @@ construction, and the system counts as feasible only when the residual of
 the NNLS optimum vanishes to rounding.  At an infeasible optimum the
 residual r = b - A x satisfies A^T r <= 0 < b^T r, a Farkas certificate.
 
-The strict system is decided through the box LP
-
-    max t   s.t.  Re(M h) >= t * 1,  |Re h_i| <= 1, |Im h_i| <= 1,
-
-solved on the same kernel by least-squares primal-dual (LSPD), a short
-sequence of NNLS problems on the columns of its dual whose reduced cost
-vanishes.  Its optimum is strictly positive exactly when the strict
-system is solvable; otherwise the dual positive-singularity system
-(mu >= 0, not all zero, mu^T M = 0) is solved for the complementary
-certificate.
+The strict system Re(M h) > 0 and its Gordan alternative, positive
+singularity (mu >= 0, sum mu = 1, mu^T M = 0), are decided by one NNLS
+on the singular system of M / max|M_ij|, whose residual is the strict
+witness when it does not vanish (Wolfe's min-norm point, Math. Prog. 11,
+1976).  The box LP max t s.t. Re(M h) >= t * 1, |Re h_i|, |Im h_i| <= 1
+is an independent route to the verdict: strict_optimum solves it on the
+same kernel by least-squares primal-dual (LSPD), a short sequence of
+NNLS problems on the columns of its dual whose reduced cost vanishes.
 """
 from __future__ import annotations
 
@@ -35,8 +33,9 @@ _EPS = np.finfo(float).eps
 
 class SimplexIterationError(RuntimeError):
     """The box LP failed: LSPD (stage "lspd") hit its step cap or found no
-    column to limit a step, or strict_feasibility found neither a strict
-    margin nor a singular certificate (a numerically ambiguous instance)."""
+    column to limit a step; or strict_feasibility (stage
+    "strict_feasibility") found neither certificate meeting its gate (a
+    numerically ambiguous instance), with both margins in the message."""
 
 
 class NNLSIterationError(RuntimeError):
@@ -59,16 +58,27 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Exactly one witness is present, matching the verdict.
+    """Exactly one witness, matching the verdict; gates relative to scale = max|M_ij| of M.
 
-    StrictlyFeasible: witness_h with min_i Re((M h)_i) = margin > MARGIN_TOL.
-    PositivelySingular: witness_mu >= 0, sum = 1, margin = ||mu^T M||_inf <= FEAS_TOL.
+    StrictlyFeasible: witness_h in the box |Re h_i|, |Im h_i| <= 1 (not in
+    general the box optimum) with min_i Re((M h)_i) = margin > MARGIN_TOL * scale.
+    PositivelySingular: witness_mu >= 0, sum = 1, margin = ||mu^T M||_inf <= FEAS_TOL * scale.
     """
 
     verdict: Verdict
     witness_h: tuple[complex, ...] | None
     witness_mu: tuple[float, ...] | None
     margin: float
+    scale: float = 1.0
+
+    @property
+    def gate(self) -> float:
+        return (MARGIN_TOL if self.verdict is Verdict.STRICTLY_FEASIBLE else FEAS_TOL) * self.scale
+
+    @property
+    def holds(self) -> bool:
+        """Whether the margin meets the verdict's gate."""
+        return self.margin > self.gate if self.verdict is Verdict.STRICTLY_FEASIBLE else self.margin <= self.gate
 
 
 @cache
@@ -307,36 +317,37 @@ def strict_optimum(M) -> float:
 
 
 def strict_feasibility(M) -> FeasibilityCertificate:
-    """Decide Re(M h) > 0 versus positive singularity of M.
+    """Decide Re(M h) > 0 versus positive singularity of M (Gordan).
 
-    The box |Re h|, |Im h| <= 1 bounds the LP; its optimum t* is > 0 iff
-    the strict system is solvable (LP duality), with the band around 0
-    resolved by solving the dual system explicitly.
+    One NNLS, x >= 0 minimising ||A x - b|| for A = [Re N^T; Im N^T; 1^T],
+    b = e_last and N = M / max|M_ij|.  When its residual r = b - A x
+    vanishes, mu = x / sum x is the singular certificate; otherwise
+    A^T r <= 0 and b^T r = ||r||^2, so h = -r_re + i r_im, scaled onto the
+    box, has Re(N h) >= ||r||^2 row by row.  Each witness is checked on M
+    against its gate; SimplexIterationError when neither meets it.
     """
     M = _finite_matrix(M, "strict_feasibility")
     m, n = M.shape
-    t_star, h = _box_lp(M)
-    margin = float(np.min((M @ h).real))
-    strict = FeasibilityCertificate(Verdict.STRICTLY_FEASIBLE, tuple(h), None, margin)
-    if margin > MARGIN_TOL and t_star > MARGIN_TOL:
+    size = float(np.abs(M).max())
+    N = M / (size or 1.0)
+    b = np.zeros(2 * n + 1)
+    b[-1] = 1.0
+    x, r = _nnls(np.vstack([N.real.T, N.imag.T, np.ones((1, m))]), b)
+    u = np.concatenate([-r[:n], r[n : 2 * n]])  # (Re h, Im h)
+    u /= float(np.abs(u).max()) or 1.0
+    h = u[:n] + 1j * u[n:]
+    strict = FeasibilityCertificate(Verdict.STRICTLY_FEASIBLE, tuple(h), None, float(np.min((M @ h).real)), size)
+    if strict.holds:
         return strict
-
-    # dual: mu >= 0, sum mu = 1, mu^T M = 0 (realified)
-    A_mu = np.vstack([M.real.T, M.imag.T, np.ones((1, m))])
-    b_mu = np.zeros(2 * n + 1)
-    b_mu[-1] = 1.0
-    mu = eq_nonneg_feasibility(A_mu, b_mu)
-    if mu is not None:
-        mu /= mu.sum()
-        residual = float(np.abs(mu @ M).max())
-        if residual <= FEAS_TOL:
-            return FeasibilityCertificate(
-                Verdict.POSITIVELY_SINGULAR, None, tuple(float(v) for v in mu), residual
-            )
-    if margin > MARGIN_TOL and t_star > 0:
-        return strict
+    mu = x / x.sum()
+    singular = FeasibilityCertificate(
+        Verdict.POSITIVELY_SINGULAR, None, tuple(float(v) for v in mu), float(np.abs(mu @ M).max()), size
+    )
+    if singular.holds:
+        return singular
     raise SimplexIterationError(
-        f"numerically ambiguous instance: t* = {t_star:.3e} with no dual certificate"
+        f"strict_feasibility: numerically ambiguous instance: strict margin {strict.margin:.3e} "
+        f"(gate {strict.gate:.3e}), singular residual {singular.margin:.3e} (gate {singular.gate:.3e})"
     )
 
 

@@ -439,10 +439,6 @@ def spectral_variation(E1, E2):
     return float(s) if s.ndim == 0 else s
 
 
-def spectral_radius(E) -> float:
-    return float(np.abs(np.asarray(E, dtype=complex)).max())
-
-
 def _unsorted(z) -> None:
     """zgees's eigenvalue-selection callback, unused: the form is unsorted."""
 

@@ -308,7 +308,9 @@ def criterion_11_majorization() -> list[Check]:
 
 def criterion_12_duality_exclusivity() -> list[Check]:
     """Exactly one of the strict and singular systems is feasible on 1000
-    seeded matrices outside the rejection band |t*| <= 1e-7."""
+    seeded matrices outside the rejection band |t*| <= 1e-7: the sign of
+    the box optimum t* (LSPD) against strict_feasibility's verdict (one
+    NNLS on the singular system)."""
     rng = np.random.default_rng(SEED + 4)
     violations = 0
     drawn = 0
@@ -321,11 +323,7 @@ def criterion_12_duality_exclusivity() -> list[Check]:
             continue  # rejection band
         drawn += 1
         strict_ok = t_star > 1e-7
-        A_mu = np.vstack([M.real.T, M.imag.T, np.ones((1, m))])
-        b_mu = np.zeros(2 * n + 1)
-        b_mu[-1] = 1.0
-        mu = lp.eq_nonneg_feasibility(A_mu, b_mu)
-        singular_ok = mu is not None
+        singular_ok = lp.strict_feasibility(M).verdict is lp.Verdict.POSITIVELY_SINGULAR
         if strict_ok == singular_ok:
             violations += 1
     return [Check("duality-exclusivity", violations == 0, float(violations), 0.0)]

@@ -54,6 +54,31 @@ def scaled(p, s):
     return poly.Polynomial(tuple(c * s ** (n - k) for k, c in enumerate(p.coeffs)))
 
 
+def highs_box_optimum(M) -> float:
+    """t* of max t s.t. Re(M h) >= t, |Re h|, |Im h| <= 1 by HiGHS."""
+    import scipy.optimize
+
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    m, n = M.shape
+    G = np.hstack([M.real, -M.imag])
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(2 * n), -1.0],
+        A_ub=np.hstack([-G, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        bounds=[(-1.0, 1.0)] * (2 * n) + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def seeded_matrices(rng, count):
+    """Seeded complex M of m <= 8 rows and n <= 10 columns."""
+    for _ in range(count):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        yield rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polycrit
+from polycrit import lp, variation_first
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
 from polycrit.metrics import bottleneck_match
@@ -93,6 +94,23 @@ class TestCommands:
         assert code == 0
         assert rep["outputs"]["verdict"] == "PositivelySingular"
         assert np.allclose(rep["outputs"]["witness_mu"], [1 / 3] * 3, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "roots,gate", [([0, 0.5, -0.5j, 0.3 + 0.4j, -0.6 + 0.1j], lp.MARGIN_TOL), (None, lp.FEAS_TOL)],
+        ids=["strict", "singular"],
+    )
+    def test_varfirst_extensible_check_reads_the_relative_gate(self, capsys, tmp_path, quartic_file, roots, gate):
+        # the check's tolerance is the gate the certificate met, relative to max|B_ij|
+        path = quartic_file
+        if roots is not None:
+            path = str(tmp_path / "p.json")
+            write_poly(path, Polynomial.from_roots(roots))
+        code, rep = run(capsys, ["varfirst", "extensible", path, "--zero", "0"])
+        B = variation_first.bmatrix(variation_first.setup(read_poly(path), 0.0))
+        check = rep["checks"][0]
+        assert code == 0 and check["name"] == "certificate-margin" and check["pass"]
+        assert check["tolerance"] == gate * np.abs(B).max() != gate
+        assert check["value"] == rep["outputs"]["margin"]
 
     def test_varfirst_matrices(self, capsys, quartic_file):
         code, rep = run(

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from polycrit.lp import (
 )
 from polycrit.poly import Polynomial, disk_points
 from polycrit import majorization, maximal_zero, suite, variation_first
+
+from conftest import highs_box_optimum, seeded_matrices
 
 
 class TestStrictFeasibility:
@@ -65,28 +68,6 @@ class TestStrictFeasibility:
                 strict_optimum([[np.nan]])
 
 
-def _highs_box_optimum(M) -> float:
-    """t* of max t s.t. Re(M h) >= t, |Re h|, |Im h| <= 1 by HiGHS."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    m, n = M.shape
-    G = np.hstack([M.real, -M.imag])
-    res = scipy.optimize.linprog(
-        np.r_[np.zeros(2 * n), -1.0],
-        A_ub=np.hstack([-G, np.ones((m, 1))]),
-        b_ub=np.zeros(m),
-        bounds=[(-1.0, 1.0)] * (2 * n) + [(None, None)],
-        method="highs",
-    )
-    assert res.status == 0
-    return -res.fun
-
-
-def _seeded_matrices(rng, count):
-    for _ in range(count):
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
-        yield rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
 def _engineered_singular(rng, count):
     """A last row that is minus a positive combination of the others."""
     for _ in range(count):
@@ -102,21 +83,37 @@ def _extremal_b(n):
 
 
 def _assert_self_verifying(M, cert):
+    """The witness, recomputed on M, meets its gate relative to max|M_ij|."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    size = np.abs(M).max()
+    assert cert.scale == size and cert.holds
     if cert.verdict is Verdict.STRICTLY_FEASIBLE:
         h = np.array(cert.witness_h)
         assert np.abs(h.real).max() <= 1.0 and np.abs(h.imag).max() <= 1.0
-        assert np.min((M @ h).real) == cert.margin > lp.MARGIN_TOL
+        assert np.min((M @ h).real) == cert.margin > lp.MARGIN_TOL * size
     else:
         mu = np.array(cert.witness_mu)
         assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
-        assert np.abs(mu @ M).max() == cert.margin <= lp.FEAS_TOL
+        assert np.abs(mu @ M).max() == cert.margin <= lp.FEAS_TOL * size
+
+
+def _highs_strict(M) -> bool | None:
+    """HiGHS's verdict: True when t* lies above criterion 12's band
+    |t*| <= 1e-7 max|M_ij|, None inside it (either verdict may hold)."""
+    t_star = highs_box_optimum(M)
+    return True if t_star > 1e-7 * np.abs(M).max() else None
+
+
+def _assert_agrees_with_highs(M, cert):
+    if _highs_strict(M):
+        assert cert.verdict is Verdict.STRICTLY_FEASIBLE
 
 
 class TestBoxLP:
     """The box LP (LSPD on the NNLS kernel) against HiGHS and its own witnesses."""
 
     def _corpus(self, rng):
-        yield from _seeded_matrices(rng, 150)
+        yield from seeded_matrices(rng, 150)
         yield from _engineered_singular(rng, 40)
         for n in range(3, 65):
             yield _extremal_b(n)
@@ -124,22 +121,26 @@ class TestBoxLP:
     def test_optimum_matches_highs(self, rng):
         for M in self._corpus(rng):
             t_star = strict_optimum(M)
-            assert abs(t_star - _highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
+            assert abs(t_star - highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
 
-    def test_strict_witness_is_box_optimal(self, rng):
+    def test_strict_witness_in_box_attains_margin(self, rng):
+        # a witness, not in general the box optimum: 0 < margin <= t*
         strict = 0
         for M in self._corpus(rng):
             cert = strict_feasibility(M)
+            _assert_agrees_with_highs(M, cert)
             if cert.verdict is Verdict.STRICTLY_FEASIBLE:
                 strict += 1
-                t_star = strict_optimum(M)
-                assert abs(cert.margin - t_star) <= 1e-12 * abs(t_star)
+                h = np.array(cert.witness_h)
+                assert max(np.abs(h.real).max(), np.abs(h.imag).max()) == 1.0
+                assert np.min((M @ h).real) == cert.margin
+                assert cert.margin <= highs_box_optimum(M) * (1.0 + 1e-9)
         assert strict > 100
 
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1e3, 1e9])
     def test_optimum_is_homogeneous(self, s, rng):
         checked = 0
-        for M in _seeded_matrices(rng, 120):
+        for M in seeded_matrices(rng, 120):
             t_star = strict_optimum(M)
             if abs(t_star) <= 1e-7:
                 continue  # criterion 12's band
@@ -167,9 +168,11 @@ class TestBoxLP:
     def test_property_certificate_and_highs(self, parts):
         # entries on a 1e-6 grid: HiGHS drops matrix entries below 1e-9
         M = parts[0] + 1j * parts[1]
-        _assert_self_verifying(M, strict_feasibility(M))
+        cert = strict_feasibility(M)
+        _assert_self_verifying(M, cert)
+        _assert_agrees_with_highs(M, cert)
         t_star = strict_optimum(M)
-        assert abs(t_star - _highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
+        assert abs(t_star - highs_box_optimum(M)) <= 1e-12 * (1.0 + abs(t_star))
 
 
 class TestEqNonneg:
@@ -422,7 +425,7 @@ class TestLSPDReference:
             return nnls(A, b, x0, col_sums, b_max)
 
         rng = np.random.default_rng(20240619)
-        Ms = list(_seeded_matrices(rng, 300))
+        Ms = list(seeded_matrices(rng, 300))
         monkeypatch.setattr(lp, "solve_standard_form", form)
         box = [lp._box_lp(M) for M in Ms]
         monkeypatch.setattr(lp, "solve_standard_form", reference_standard_form)
@@ -465,11 +468,17 @@ class TestLSPDReference:
                     rng.uniform(-1.0, 1.0, (10, 2))
         assert len(systems) == 322
         # strict_feasibility's positive-singularity systems
-        for M in _seeded_matrices(np.random.default_rng(7), 100):
-            m, n = M.shape
-            b = np.zeros(2 * n + 1)
-            b[-1] = 1.0
-            systems.append((np.vstack([M.real.T, M.imag.T, np.ones((1, m))]), b))
+        nnls = lp._nnls
+
+        def system(A, b):
+            systems.append((A.copy(), b.copy()))
+            return nnls(A, b)
+
+        monkeypatch.setattr(lp, "_nnls", system)
+        for M in seeded_matrices(np.random.default_rng(7), 100):
+            strict_feasibility(M)
+        monkeypatch.setattr(lp, "_nnls", nnls)
+        assert len(systems) == 422
         for A, b in systems:
             lstsq_calls.clear()
             x, r = lp._nnls(A, b)
@@ -506,10 +515,7 @@ class TestDualityExclusivity:
                 continue
             checked += 1
             strict = t_star > 1e-7
-            A_mu = np.vstack([M.real.T, M.imag.T, np.ones((1, m))])
-            b_mu = np.zeros(2 * n + 1)
-            b_mu[-1] = 1.0
-            singular = eq_nonneg_feasibility(A_mu, b_mu) is not None
+            singular = strict_feasibility(M).verdict is Verdict.POSITIVELY_SINGULAR
             assert strict != singular
 
     def test_engineered_singular_instances(self, rng):
@@ -517,6 +523,55 @@ class TestDualityExclusivity:
             cert = strict_feasibility(M)
             assert cert.verdict is Verdict.POSITIVELY_SINGULAR
             assert strict_optimum(M) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7])
+    def test_near_singular_instances(self, eps, rng):
+        # a valid certificate, or inside HiGHS's band only the named raise
+        for M in _engineered_singular(rng, 300):
+            M = M + eps * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+            try:
+                cert = strict_feasibility(M)
+            except lp.SimplexIterationError as err:
+                assert _highs_strict(M) is None
+                assert re.match(r"strict_feasibility: numerically ambiguous .* margin .* residual", str(err))
+                continue
+            _assert_self_verifying(M, cert)
+            _assert_agrees_with_highs(M, cert)
+
+
+class TestOneDecision:
+    """strict_feasibility is one NNLS call; LSPD is not on its path."""
+
+    def test_one_nnls_call_and_no_box_lp(self, monkeypatch, rng):
+        calls = {"nnls": 0, "lspd": 0}
+        nnls = lp._nnls
+
+        def counted(*args, **kwargs):
+            calls["nnls"] += 1
+            return nnls(*args, **kwargs)
+
+        def lspd(*args, **kwargs):
+            calls["lspd"] += 1
+            raise AssertionError("solve_standard_form called")
+
+        monkeypatch.setattr(lp, "_nnls", counted)
+        monkeypatch.setattr(lp, "solve_standard_form", lspd)
+        corpus = [*seeded_matrices(rng, 50), *_engineered_singular(rng, 20), _extremal_b(12)]
+        for k, M in enumerate(corpus, start=1):
+            strict_feasibility(M)
+            assert calls == {"nnls": k, "lspd": 0}
+
+    def test_ambiguous_raise_carries_both_margins(self):
+        # rows 1 and -1 + 3e-8 i: t* = 1.5e-8, inside criterion 12's band;
+        # the NNLS witness's margin is below its gate, and the best mu
+        # leaves a residual of 1.5e-8, above its own
+        with pytest.raises(lp.SimplexIterationError) as err:
+            strict_feasibility([[1.0], [-1.0 + 3e-8j]])
+        assert re.fullmatch(
+            r"strict_feasibility: numerically ambiguous instance: strict margin \S+ \(gate 1\.000e-09\), "
+            r"singular residual \S+ \(gate 1\.000e-08\)",
+            str(err.value),
+        )
 
 
 class TestHull:

@@ -4,8 +4,9 @@ Multiplicities, genericity, the on-circle count r and its indices must
 not change; |p|_a, d(p) and the inverse-length matrix s * A must scale
 exactly (to rounding of the scaled coefficients); the Smale ratio and
 the Gauss-Lucas weights are dimensionless.  Extensibility verdicts are
-not part of the oracle: B's conj(-z^2 A) term is not homogeneous in s.
-Hull membership is checked under affine maps z -> alpha z + beta.
+not part of the oracle: B's conj(-z^2 A) term is not homogeneous in s;
+strict_feasibility's verdicts on s M are, and are checked against HiGHS
+on M.  Hull membership is checked under affine maps z -> alpha z + beta.
 """
 from collections import Counter
 
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 from polycrit import metrics, normal_ops as no, variation_first as vf
-from polycrit.lp import in_convex_hull
+from polycrit.lp import Verdict, in_convex_hull, strict_feasibility
 from polycrit.poly import Polynomial
 
-from conftest import disk_points, scaled
+from conftest import disk_points, highs_box_optimum, scaled, seeded_matrices
 
 SCALES = [1e-12, 1e-9, 1e-3, 1e3]
 FIVE = [0, 0.5, -0.5j, 0.3 + 0.4j, -0.6 + 0.1j]
@@ -122,3 +123,21 @@ def test_collinear_is_scale_free():
         assert not no.collinear(s * np.array([0.0, 1.0, 0.5 + 1e-6j]))
         assert no.collinear(s * np.array([0.0, 1.0, 0.5]))
 
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1.0, 1e3, 1e9])
+def test_strict_feasibility_verdicts_are_scale_free(s):
+    # HiGHS on M at unit scale (it drops entries below 1e-9): above the
+    # band t* > 1e-7 max|M_ij| the verdict on s M must be strict; inside
+    # it, either certificate meeting its gate on s M is valid
+    strict = 0
+    for M in seeded_matrices(np.random.default_rng(2200), 200):
+        cert = strict_feasibility(s * M)
+        size = np.abs(s * M).max()
+        if cert.verdict is Verdict.STRICTLY_FEASIBLE:
+            strict += 1
+            h = np.array(cert.witness_h)
+            assert np.min((s * M @ h).real) == cert.margin > 1e-9 * size
+        else:
+            assert highs_box_optimum(M) <= 1e-7 * np.abs(M).max()
+            assert np.abs(np.array(cert.witness_mu) @ (s * M)).max() == cert.margin <= 1e-8 * size
+    assert strict > 100
