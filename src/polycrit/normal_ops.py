@@ -546,12 +546,3 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
 def eigvals_in_hull(pair: SpectrumPair, tol: float = 1e-8) -> bool:
     """Convex-hull containment of the submatrix spectrum in the parent's."""
     return all(in_convex_hull(w, pair.eig_full, tol=tol) for w in pair.eig_sub)
-
-
-def collinear(points) -> bool:
-    """Best-fit-line residual test: the smallest singular value of the
-    centered data is at most 1e-9 times the largest."""
-    pts = np.asarray(points, dtype=complex)
-    xy = np.column_stack([pts.real, pts.imag])
-    sv = np.linalg.svd(xy - xy.mean(axis=0), compute_uv=False)
-    return bool(sv[-1] <= 1e-9 * sv[0])

@@ -78,7 +78,7 @@ def _gamma(n: int, k: int) -> float:
     return 4.0 * (n + 2 * k + 4) * _EPS
 
 
-def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of an ascending-coefficient polynomial at once.
 
     Aberth-Ehrlich simultaneous iteration.  Initial guesses sit on a circle
@@ -88,6 +88,7 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
     gamma_0 * sum |a_k| |z|^k, which makes z an exact root of a polynomial
     within rounding of p.  The iterates of an m-fold root stall on a ring
     of radius about eps^(1/m); find_roots merges them (_resolve_multiple).
+    It takes at most ABERTH_MAX_ITER steps, read at each call.
     """
     c = np.asarray(coeffs, dtype=complex)
     deg = len(c) - 1
@@ -99,7 +100,7 @@ def aberth_roots(coeffs, max_iter: int = ABERTH_MAX_ITER) -> np.ndarray:
     taylor = _poly_taylor(c)
     radius = 1.0 + max(abs(c[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         (pv, dv), (budget, _) = taylor(z, 1)
         stuck = np.abs(dv) < 1e-280
         if stuck.any():
@@ -334,10 +335,6 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
-    @property
     def is_monic(self) -> bool:
         return abs(self.coeffs[-1] - 1.0) <= 1e-12
 
@@ -356,7 +353,7 @@ class Polynomial:
         return abs(self(z)) <= 1e-10 * float(_horner(c, np.array([rho]))[0])
 
     def derivative(self) -> "Polynomial":
-        """Coefficient-wise derivative; degree 0 yields the flagged zero polynomial.
+        """Coefficient-wise derivative; degree 0 yields the constant 0.
 
         Memoized: repeated calls return the same instance, so its own
         memoized roots (the critical points) are found once as well.

@@ -84,6 +84,31 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
     )
 
 
+def _a_row(w, a: complex, zeros, num, den=None) -> np.ndarray:
+    """(a_1(w), ..., a_n(w)) at the critical point w for the zeros (a first):
+
+        a_1(w) = -(1/(w-a)) [1 + num / ((w-a)^2 den)],
+        a_i(w) = -num / ((w-a)(w-z_i)^2 den) for i >= 2,
+
+    with num = p(w), den = p''(w) on the generic path and num = L_k with no
+    den (den = 1) for the branches of a multiple critical point.
+    """
+    wa = w - a
+    out = np.empty(len(zeros), dtype=complex)
+    sq = wa**2 if den is None else wa**2 * den
+    out[0] = -(1.0 / wa) * (1.0 + num / sq)
+    for i in range(1, len(zeros)):
+        q = wa * (w - zeros[i]) ** 2
+        out[i] = -num / (q if den is None else q * den)
+    return out
+
+
+def _couple(A: np.ndarray, zeros) -> np.ndarray:
+    """A + conj(b) with the companion coefficients b_i = -z_i^2 a_i."""
+    z = np.asarray(zeros)
+    return A + np.conj(-(z**2) * A)
+
+
 def coefficients_a(s: VariationSetup, j: int) -> np.ndarray:
     """Row of first-order coefficients (a_1(w_j), ..., a_n(w_j)).
 
@@ -96,15 +121,8 @@ def coefficients_a(s: VariationSetup, j: int) -> np.ndarray:
     if not 0 <= j < s.r:
         raise ValueError(f"index {j} outside the on-circle range 0..{s.r - 1}")
     w = s.crit[j]
-    p = s.p
-    ppw = p.nth_derivative(2)(w)
-    pw = p(w)
-    a = s.a
-    n = p.degree
-    out = np.empty(n, dtype=complex)
-    out[0] = -(1.0 / (w - a)) * (1.0 + pw / ((w - a) ** 2 * ppw))
-    for i in range(1, n):
-        out[i] = -pw / ((w - a) * (w - s.zeros[i]) ** 2 * ppw)
+    ppw = s.p.nth_derivative(2)(w)
+    out = _a_row(w, s.a, s.zeros, s.p(w), ppw)
     if not np.isfinite(out).all():
         raise ValueError(f"coefficients at w = {w:.6g} are not finite: p''(w) = {ppw:.3e}")
     return out
@@ -121,9 +139,7 @@ def bmatrix(s: VariationSetup) -> np.ndarray:
     b_j(w_i) = -z_j^2 a_j(w_i), so each entry couples the coefficient with
     the conjugate weighted by the squared zero.
     """
-    A = amatrix(s)
-    z = np.array(s.zeros)
-    return A + np.conj(-(z[None, :] ** 2) * A)
+    return _couple(amatrix(s), s.zeros)
 
 
 def cmatrix(s: VariationSetup) -> np.ndarray:
@@ -204,15 +220,7 @@ def nongeneric_data(s: VariationSetup, h) -> NonGenericData:
     base = np.angle(pw1 / (rfact * c)) - (r - 1) / r * np.angle(d / c)
     L = tuple(np.exp(1j * (base + 2 * np.pi * k / r)) for k in range(1, r + 1))
 
-    n = p.degree
-    a = s.a
-    beta = np.empty((r, n), dtype=complex)
-    for i in range(r):
-        arow = np.empty(n, dtype=complex)
-        arow[0] = -(1.0 / (w1 - a)) * (1.0 + L[i] / (w1 - a) ** 2)
-        for jz in range(1, n):
-            arow[jz] = -L[i] / ((w1 - a) * (w1 - z[jz]) ** 2)
-        beta[i] = arow + np.conj(-(z**2) * arow)
+    beta = _couple(np.array([_a_row(w1, s.a, z, Lk) for Lk in L]), z)
     return NonGenericData(c=complex(c), d=complex(d), L=L, beta=beta)
 
 
@@ -232,13 +240,3 @@ def moebius_move(roots, t: float, h) -> np.ndarray:
     if np.any(np.abs(denom) <= 1e-12):
         raise ValueError("denominator underflow in the disk automorphism")
     return (t * h + z) / denom
-
-
-def perturb(p: Polynomial, t: float, h) -> Polynomial:
-    """Polynomial with every root moved along its disk automorphism.
-
-    Roots are taken in lexicographic (re, im) order; pass explicit roots to
-    moebius_move when a different alignment with h is needed.
-    """
-    roots = sort_lex(p.find_roots().points)
-    return Polynomial.from_roots(moebius_move(roots, t, h))

@@ -85,16 +85,6 @@ def family_deg5(a: float) -> tuple[Polynomial, Polynomial]:
     return q, s
 
 
-def newton_root_bound(R: Polynomial, w: complex) -> float:
-    """deg(R) * |R(w)/R'(w)|: an upper bound on the distance from w to the
-    nearest zero of R."""
-    dR = R.derivative()
-    dv = dR(complex(w))
-    if abs(dv) <= 1e-14:
-        raise ValueError("R'(w) vanishes; the bound is undefined")
-    return R.degree * abs(R(complex(w)) / dv)
-
-
 @dataclass(frozen=True)
 class GrowthFit:
     """Least-squares model d(p_a) - d(p_0) = c2 a^2 + c3 a^3."""
@@ -104,19 +94,16 @@ class GrowthFit:
     residual: float
 
 
-def fit_quadratic_growth(family, grid) -> GrowthFit:
-    """Fit the quadratic growth coefficient of d along a family.
-
-    family is "deg4", "deg5", or a callable a -> Polynomial.  The model
-    carries an a^3 term to absorb the cubic error of the construction;
-    both coefficients are reported together with the max fit residual.
+def fit_quadratic_growth(family: str, grid) -> GrowthFit:
+    """Fit the quadratic growth coefficient of d along the "deg4" or
+    "deg5" family.  The model carries an a^3 term to absorb the cubic
+    error of the construction; both coefficients are reported together
+    with the max fit residual.
     """
     grid = [float(a) for a in grid]
     if len(grid) < 4:
         raise ValueError("underdetermined grid: need at least 4 points")
-    if callable(family):
-        fam = family
-    elif family == "deg4":
+    if family == "deg4":
         fam = family_deg4
     elif family == "deg5":
         fam = lambda a: family_deg5(a)[0]

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,57 @@ from polycrit.poly import Polynomial
 from polycrit import maximal_zero as mz
 
 from conftest import disk_points, scaled
+
+
+def self_inversive_residual(p):
+    """max_k |a_k conj(a_0) - a_n conj(a_{n-k})|, zero when all roots are
+    unimodular."""
+    a = np.array(p.coeffs)
+    n = p.degree
+    return float(max(abs(a[k] * np.conj(a[0]) - a[n] * np.conj(a[n - k])) for k in range(n)))
+
+
+def critical_circle_residual(q, alpha, R):
+    """Residual of the derivative-reflection identity when all critical
+    points of q lie at distance R from the zero alpha:
+
+        (n-k-1)! n R^{2k} q^{(k+1)}(alpha) = k! q'(alpha) conj(q^{(n-k)}(alpha))
+
+    for k = 0..n-1.  Each side scales like s^(n+k-1) under q -> s^n q(z/s),
+    alpha -> s alpha, R -> s R, so each difference is reported relative to
+    k! |q'(alpha)| (n-k)! |c_n| R^k, a magnitude of that degree.  The
+    derivatives are coefficient-wise (nth_derivative), evaluated by Horner.
+    """
+    alpha = complex(alpha)
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if not q.vanishes_at(alpha):
+        raise ValueError("alpha must be a zero of q")
+    n = q.degree
+    crit = q.derivative().find_roots().as_array()
+    if np.abs(np.abs(crit - alpha) - R).max() > 1e-6 * R:
+        raise ValueError("critical points do not all lie at distance R from alpha")
+    dvals = [q.nth_derivative(k)(alpha) for k in range(n + 1)]
+    lead = abs(q.coeffs[-1])
+    worst = 0.0
+    for k in range(n):
+        lhs = math.factorial(n - k - 1) * n * R ** (2 * k) * dvals[k + 1]
+        rhs = math.factorial(k) * dvals[1] * np.conj(dvals[n - k])
+        size = math.factorial(k) * abs(dvals[1]) * math.factorial(n - k) * lead * R**k
+        worst = max(worst, abs(lhs - rhs) / size)
+    return worst
+
+
+def affine_image(q, a, R):
+    """s^n q((z - a) / s) with s = R n^(1/(n-1)): construct's q moved so
+    that its zero sits at a and its critical points at distance R from a."""
+    n = q.degree
+    return scaled(q, R * n ** (1 / (n - 1))).shifted(-a)
+
+
+def lambda_bound(n):
+    m = (n - 1) // 2
+    return 2 * np.sqrt(2 * m + 1) / (m + 1)
 
 
 class TestConstruct:
@@ -119,15 +171,15 @@ class TestVerify:
 class TestSelfInversive:
     def test_roots_of_unity(self):
         p = Polynomial((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0))  # z^5 - 1
-        assert mz.check_self_inversive(p) <= 1e-15
+        assert self_inversive_residual(p) <= 1e-15
 
     def test_conjugate_unimodular_pair(self):
         p = Polynomial.from_roots([np.exp(1j), np.exp(-1j)])
-        assert mz.check_self_inversive(p) <= 1e-12
+        assert self_inversive_residual(p) <= 1e-12
 
     def test_negative_control(self):
         p = Polynomial((-0.25, 0.0, 1.0))
-        assert mz.check_self_inversive(p) > 0.5
+        assert self_inversive_residual(p) > 0.5
 
 
 class TestCriticalCircleSymmetry:
@@ -136,7 +188,7 @@ class TestCriticalCircleSymmetry:
         coeffs = [0.0] * (n + 1)
         coeffs[1] = -1.0
         coeffs[n] = 1.0
-        res = mz.check_critical_circle_symmetry(
+        res = critical_circle_residual(
             Polynomial(tuple(coeffs)), 0.0, n ** (-1 / (n - 1))
         )
         assert res <= 1e-9
@@ -144,16 +196,16 @@ class TestCriticalCircleSymmetry:
     def test_quadratic_single_critical_point(self):
         for theta in (0.0, 0.7, 2.4):
             p = Polynomial((0.0, 2 * np.exp(1j * theta), 1.0))
-            assert mz.check_critical_circle_symmetry(p, 0.0, 1.0) <= 1e-12
+            assert critical_circle_residual(p, 0.0, 1.0) <= 1e-12
 
     def test_odd_family_interior_lambda(self):
         p = mz.construct(mz.ZeroMaximalSpec(n=5, theta=0.4, lam=1.0))
-        assert mz.check_critical_circle_symmetry(p, 0.0, 5 ** (-1 / 4)) <= 1e-9
+        assert critical_circle_residual(p, 0.0, 5 ** (-1 / 4)) <= 1e-9
 
     def test_unequal_radii_rejected(self):
         p = Polynomial.from_roots([0.0, 0.9, -0.5])
         with pytest.raises(ValueError, match="distance R"):
-            mz.check_critical_circle_symmetry(p, 0.0, 0.5)
+            critical_circle_residual(p, 0.0, 0.5)
 
     @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
     def test_scale_free(self, s):
@@ -164,9 +216,9 @@ class TestCriticalCircleSymmetry:
             coeffs[1] = -1.0
             coeffs[n] = 1.0
             q = scaled(Polynomial(tuple(coeffs)), s)
-            assert mz.check_critical_circle_symmetry(q, 0.0, s * n ** (-1 / (n - 1))) <= 1e-13
+            assert critical_circle_residual(q, 0.0, s * n ** (-1 / (n - 1))) <= 1e-13
         odd = scaled(mz.construct(mz.ZeroMaximalSpec(n=5, theta=0.4, lam=1.0)), s)
-        assert mz.check_critical_circle_symmetry(odd, 0.0, s * 5 ** (-1 / 4)) <= 1e-13
+        assert critical_circle_residual(odd, 0.0, s * 5 ** (-1 / 4)) <= 1e-13
 
     @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
     def test_scaled_unequal_radii_rejected(self, s):
@@ -175,39 +227,65 @@ class TestCriticalCircleSymmetry:
         q = scaled(Polynomial.from_roots([0.0, 0.5, -0.3j, 0.2 - 0.6j]), s)
         R = float(np.abs(q.derivative().find_roots().as_array()).min())
         with pytest.raises(ValueError, match="distance R"):
-            mz.check_critical_circle_symmetry(q, 0.0, R)
+            critical_circle_residual(q, 0.0, R)
 
     @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-7])
     def test_scaled_nonzero_alpha_rejected(self, s):
         # |q(0)| = 1e-9 s^4 is far above rounding for z^4 + z + 1e-9
         q = scaled(Polynomial((1e-9, 1.0, 0.0, 0.0, 1.0)), s)
         with pytest.raises(ValueError, match="zero of q"):
-            mz.check_critical_circle_symmetry(q, 0.0, s * 4 ** (-1 / 3))
+            critical_circle_residual(q, 0.0, s * 4 ** (-1 / 3))
 
 
 class TestRhoExtremal:
+    """The claims on the translated/scaled extremal family, made on the
+    affine image of construct's polynomial: p(a) = 0, every critical point
+    at distance R from a, and the farthest root at R n^(1/(n-1))."""
+
     def test_unit_quadratic(self):
-        p = mz.rho_extremal(0.0, 1.0, 2)
+        p = affine_image(mz.construct(mz.ZeroMaximalSpec(n=2)), 0.0, 1.0)
         assert np.allclose(p.coeffs, [0.0, 2.0, 1.0])
         roots = np.array(sorted(p.find_roots().points, key=lambda z: z.real))
         assert np.allclose(roots, [-2.0, 0.0], atol=1e-12)
 
     def test_shifted_scaled_quartic(self):
         a, R = 1 + 1j, 0.5
-        p = mz.rho_extremal(a, R, 4, theta=1.0)
+        p = affine_image(mz.construct(mz.ZeroMaximalSpec(n=4, theta=1.0)), a, R)
         assert abs(p(a)) <= 1e-12
         crit = p.derivative().find_roots().as_array()
         assert abs(np.abs(crit - a).min() - R) <= 1e-8
         roots = p.find_roots().as_array()
         assert abs(np.abs(roots - a).max() - R * 4 ** (1 / 3)) <= 1e-8
 
+    @pytest.mark.parametrize("n,lam,a,R", [(5, 0.5, -0.3 + 0.2j, 2.0), (7, -1.0, 0.5j, 0.8), (6, 0.0, 3.0, 1.5)])
+    def test_every_critical_point_on_the_circle(self, n, lam, a, R):
+        p = affine_image(mz.construct(mz.ZeroMaximalSpec(n=n, theta=1.0, lam=lam)), a, R)
+        assert p.vanishes_at(a)
+        crit = p.derivative().find_roots().as_array()
+        assert np.abs(np.abs(crit - a) - R).max() <= 1e-8 * R
+        roots = p.find_roots().as_array()
+        assert abs(np.abs(roots - a).max() - R * n ** (1 / (n - 1))) <= 1e-8 * R
+
     def test_odd_with_middle_term(self):
-        p = mz.rho_extremal(0.0, 1.0, 3, theta=0.0, lam=1.0)
+        p = affine_image(mz.construct(mz.ZeroMaximalSpec(n=3, theta=0.0, lam=1.0)), 0.0, 1.0)
         assert np.allclose(p.coeffs, [0.0, 3.0, np.sqrt(3), 1.0], atol=1e-12)
 
-    def test_radius_guard(self):
-        with pytest.raises(ValueError, match="R"):
-            mz.rho_extremal(0.0, 0.0, 4)
+
+class TestConstructIdentities:
+    """construct against the moved oracles, for n = 2..16 and lambda in
+    {0, +-bound/2, bound}: p(z)/z is self-inversive (all nonzero roots
+    unimodular) and the reflection identity holds at R = n^(-1/(n-1))."""
+
+    CASES = [(n, f) for n in range(2, 17) for f in ((0.0,) if n % 2 == 0 else (0.0, 0.5, -0.5, 1.0))]
+
+    @pytest.mark.parametrize("n,fraction", CASES)
+    def test_self_inversive_and_reflection(self, n, fraction):
+        lam = fraction * lambda_bound(n) if n % 2 else 0.0
+        R = n ** (-1 / (n - 1))
+        for theta in (0.0, 0.4, 2.2, 5.0):
+            p = mz.construct(mz.ZeroMaximalSpec(n=n, theta=theta, lam=lam))
+            assert self_inversive_residual(Polynomial(p.coeffs[1:])) <= 1e-14
+            assert critical_circle_residual(p, 0.0, R) <= 1e-12
 
 
 class TestScanShadow:

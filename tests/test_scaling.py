@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polycrit import metrics, normal_ops as no, variation_first as vf
+from polycrit import maximal_zero as mz, metrics, normal_ops as no, variation_first as vf
 from polycrit.lp import Verdict, in_convex_hull, strict_feasibility
 from polycrit.poly import Polynomial
 
@@ -117,11 +117,26 @@ def test_hull_membership_is_affine_invariant(alpha, beta):
         assert in_convex_hull(0.5 * seg_scale, [0.0, seg_scale])
 
 
-def test_collinear_is_scale_free():
-    # a triangle of relative height 1e-6 is not collinear at any scale
-    for s in [1.0, *SCALES]:
-        assert not no.collinear(s * np.array([0.0, 1.0, 0.5 + 1e-6j]))
-        assert no.collinear(s * np.array([0.0, 1.0, 0.5]))
+@pytest.mark.parametrize("s", [1e-3, 1e-2])
+def test_verify_0maximal_rejects_scaled_nonzero_constant(s):
+    # |q(0)| = 1e-9 s^4 is far above rounding for z^4 + z + 1e-9, but
+    # below an absolute 1e-12
+    q = scaled(Polynomial((1e-9, 1.0, 0.0, 0.0, 1.0)), s)
+    assert not q.vanishes_at(0.0)
+    with pytest.raises(ValueError, match="p\\(0\\) = 0 required"):
+        mz.verify_0maximal(q)
+
+
+@pytest.mark.parametrize("s", [1e2, 1e3])
+def test_verify_0maximal_accepts_scaled_rounding_constant(s):
+    # a constant term at rounding level, 1e-16 |c_1| s, is above an
+    # absolute 1e-12 at these scales
+    q = scaled(mz.construct(mz.ZeroMaximalSpec(n=5, theta=0.3, lam=0.5)), s)
+    q = Polynomial((1e-16 * abs(q.coeffs[1]) * s, *q.coeffs[1:]))
+    assert abs(q.coeffs[0]) > 1e-12 and q.vanishes_at(0.0)
+    rep = mz.verify_0maximal(q)
+    assert abs(rep.radius / s - 5 ** (-1 / 4)) <= 1e-12
+    assert not rep.is_0maximal  # the critical radius is s times the extremal one
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1.0, 1e3, 1e9])

@@ -295,11 +295,6 @@ class TestNonGeneric:
 
 
 class TestPerturb:
-    def test_t_zero_is_identity(self, rng):
-        p = Polynomial.from_roots(disk_points(rng, 4, min_sep=1e-2))
-        q = vf.perturb(p, 0.0, np.ones(4))
-        assert np.abs(np.array(q.coeffs) - np.array(p.coeffs)).max() <= 1e-9
-
     def test_unit_circle_preserved(self, rng):
         roots = roots_of_unity(5, phase=0.3)
         h = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))

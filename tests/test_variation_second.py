@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from polycrit.metrics import delta_distance, directed_hausdorff
-from polycrit.poly import Polynomial
 from polycrit import variation_second as vs
-
-from conftest import disk_points
 
 
 class TestConstants:
@@ -103,33 +100,6 @@ class TestFamilies:
             assert ratio <= 800.0
 
 
-class TestNewtonBound:
-    def test_zero_at_root(self):
-        R = Polynomial((-1.0, 0.0, 1.0))
-        assert vs.newton_root_bound(R, 1.0) <= 1e-14
-
-    def test_hand_value(self):
-        R = Polynomial((-1.0, 0.0, 1.0))
-        assert abs(vs.newton_root_bound(R, 2.0) - 1.5) <= 1e-14
-
-    def test_upper_bounds_nearest_root(self, rng):
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            roots = disk_points(rng, n, min_sep=1e-3)
-            R = Polynomial.from_roots(roots)
-            w = complex(*rng.uniform(-1.5, 1.5, 2))
-            dR = R.derivative()
-            if abs(dR(w)) <= 1e-10:
-                continue
-            bound = vs.newton_root_bound(R, w)
-            assert bound >= np.abs(roots - w).min() - 1e-12
-
-    def test_critical_point_rejected(self):
-        R = Polynomial((-1.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="R'"):
-            vs.newton_root_bound(R, 0.0)
-
-
 class TestGrowthFit:
     def test_deg4_constant_recovered_on_fine_grid(self):
         # the pinned coarse grid k*1e-3 is biased by the a^4 and a^5 terms
@@ -141,11 +111,6 @@ class TestGrowthFit:
     def test_deg5_constant_on_stated_grid(self):
         fit = vs.fit_quadratic_growth("deg5", [k * 1e-3 for k in range(1, 9)])
         assert abs(fit.c2 - 5.6657) <= 0.01
-
-    def test_constant_family_gives_zero(self):
-        fit = vs.fit_quadratic_growth(lambda a: vs.family_deg4(0.0), [k * 1e-3 for k in range(1, 9)])
-        assert abs(fit.c2) <= 1e-6
-        assert fit.residual <= 1e-12
 
     def test_underdetermined_grid(self):
         with pytest.raises(ValueError, match="underdetermined"):
