@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,9 @@ class MajorizationCertificate:
     """Rectangularly stochastic witness R with its residuals.
 
     R >= 0 entrywise (within 1e-9), row sums 1, column sums m/n, and
-    R once applied to the larger tuple reproduces the smaller one.
+    R once applied to the larger tuple reproduces the smaller one; the
+    reconstruction residual is max|R Y - X| / max|Y|, so the certificate
+    holds alike at every scale of the points.
     """
 
     R: np.ndarray
@@ -44,43 +47,53 @@ class MajorizationCertificate:
     neg_entry: float
     reconstruction_residual: float
 
+    @property
+    def residual(self) -> float:
+        """The largest of the four residuals."""
+        return max(self.row_sum_residual, self.col_sum_residual, self.neg_entry, self.reconstruction_residual)
 
-def _subset_products(points, alpha: complex, k: int) -> tuple[complex, ...]:
-    pts = [complex(p) - complex(alpha) for p in points]
+    @property
+    def holds(self) -> bool:
+        """Whether every residual is within CERT_TOL."""
+        return self.residual <= CERT_TOL
+
+
+@lru_cache(maxsize=64)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), one per row, in itertools.combinations order."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+
+
+def _product_tuple(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> ProductTuple:
+    """All k-subset products of (roots of q - alpha), 1 <= k <= deg p - 1."""
+    if not 1 <= k <= p.degree - 1:
+        raise ValueError("k must satisfy 1 <= k <= n-1")
+    pts = np.asarray(q.find_roots().points, dtype=complex) - complex(alpha)
     n = len(pts)
     count = math.comb(n, k)
     if count > TUPLE_CAP:
         raise ValueError(f"combinatorial blowup: C({n},{k}) = {count} exceeds cap {TUPLE_CAP}")
-    vals = []
-    for combo in itertools.combinations(pts, k):
-        prod = 1.0 + 0j
-        for c in combo:
-            prod *= c
-        vals.append(prod)
-    return tuple(vals)
+    vals = np.prod(pts[_subsets(n, k)], axis=1)
+    return ProductTuple(values=tuple(vals.tolist()), alpha=complex(alpha), k=k)
 
 
 def tuple_Z(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
     """All k-subset products of (zeros - alpha)."""
-    if not 1 <= k <= p.degree - 1:
-        raise ValueError("k must satisfy 1 <= k <= n-1")
-    roots = p.find_roots().points
-    return ProductTuple(values=_subset_products(roots, alpha, k), alpha=complex(alpha), k=k)
+    return _product_tuple(p, p, alpha, k)
 
 
 def tuple_W(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
     """All k-subset products of (critical points - alpha)."""
-    if not 1 <= k <= p.degree - 1:
-        raise ValueError("k must satisfy 1 <= k <= n-1")
-    crit = p.derivative().find_roots().points
-    return ProductTuple(values=_subset_products(crit, alpha, k), alpha=complex(alpha), k=k)
+    return _product_tuple(p, p.derivative(), alpha, k)
 
 
 def check_majorization(X: ProductTuple, Y: ProductTuple):
     """Rectangularly stochastic R with X = R Y, or None when infeasible.
 
     Constraint families: row sums 1, column sums m/n, and the two real
-    coordinates of the reconstruction X = R Y.
+    coordinates of the reconstruction X = R Y.  The reconstruction rows
+    are built on X / sigma and Y / sigma, sigma = max|Y|: the feasible R
+    are the same, and every row is on the scale of the unit sum rows.
     """
     xv = np.asarray(X.values, dtype=complex)
     yv = np.asarray(Y.values, dtype=complex)
@@ -89,31 +102,26 @@ def check_majorization(X: ProductTuple, Y: ProductTuple):
         raise ValueError("len(X) <= len(Y) required")
     if m * n > TUPLE_CAP:
         raise ValueError(f"LP variable count {m * n} exceeds cap {TUPLE_CAP}")
-    rows = m + n + 2 * m
-    A = np.zeros((rows, m * n))
-    b = np.zeros(rows)
-    for i in range(m):
-        A[i, i * n : (i + 1) * n] = 1.0
-        b[i] = 1.0
-    for j in range(n):
-        A[m + j, j::n] = 1.0
-        b[m + j] = m / n
-    for i in range(m):
-        A[m + n + i, i * n : (i + 1) * n] = yv.real
-        b[m + n + i] = xv[i].real
-        A[m + n + m + i, i * n : (i + 1) * n] = yv.imag
-        b[m + n + m + i] = xv[i].imag
+    sigma = float(np.abs(yv).max()) or 1.0
+    xv, yv = xv / sigma, yv / sigma
+    eye = np.eye(m)
+    A = np.concatenate([
+        np.kron(eye, np.ones(n)),
+        np.kron(np.ones(m), np.eye(n)),
+        np.kron(eye, yv.real),
+        np.kron(eye, yv.imag),
+    ])
+    b = np.concatenate([np.ones(m), np.full(n, m / n), xv.real, xv.imag])
     x = eq_nonneg_feasibility(A, b)
     if x is None:
         return None
     R = x.reshape(m, n)
-    recon = R @ yv
     return MajorizationCertificate(
         R=R,
         row_sum_residual=float(np.abs(R.sum(axis=1) - 1.0).max()),
         col_sum_residual=float(np.abs(R.sum(axis=0) - m / n).max()),
         neg_entry=float(max(0.0, -R.min())),
-        reconstruction_residual=float(np.abs(recon - xv).max()),
+        reconstruction_residual=float(np.abs(R @ yv - xv).max()),
     )
 
 

@@ -380,9 +380,6 @@ class Polynomial:
         t, _ = _poly_taylor(np.array(self.coeffs))(np.array([complex(s)]), self.degree)
         return Polynomial(tuple(t[:, 0]))
 
-    def monic(self) -> "Polynomial":
-        return self.scaled(1.0 / self.coeffs[-1])
-
     def find_roots(self) -> RootSet:
         """All roots with multiplicity, certified by backward error.
 

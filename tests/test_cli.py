@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polycrit
-from polycrit import lp, variation_first
+from polycrit import lp, majorization, variation_first
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
 from polycrit.metrics import bottleneck_match
@@ -55,7 +55,7 @@ class TestJsonSchema:
             assert obj["repr"] == kind
             assert obj["data"] == obj[kind]
             q = poly_from_obj(obj)
-            assert np.abs(np.array(q.monic().coeffs) - np.array(p.coeffs)).max() <= 1e-9
+            assert np.abs(np.array(q.scaled(1.0 / q.coeffs[-1]).coeffs) - np.array(p.coeffs)).max() <= 1e-9
 
     def test_writers_emit_both(self, tmp_path):
         path = tmp_path / "p.json"
@@ -200,6 +200,17 @@ class TestCommands:
         code, rep = run(capsys, ["major", "dbs", quartic_file, "--f", "abs"])
         assert code == 0
         assert rep["checks"][0]["pass"]
+
+    def test_major_check_is_scale_free(self, capsys, tmp_path):
+        # products of three zeros of size 1e3 are 1e9 beside the unit
+        # entries of the sum rows; the certificate's rule is CERT_TOL
+        path = tmp_path / "p6.json"
+        write_poly(path, Polynomial.from_roots(1e3 * disk_points(np.random.default_rng(0), 6)))
+        code, rep = run(capsys, ["major", "check", str(path), "--k", "3"])
+        assert code == 0 and rep["outputs"]["feasible"]
+        check = rep["checks"][0]
+        assert check["name"] == "certificate-residuals" and check["pass"]
+        assert check["tolerance"] == majorization.CERT_TOL
 
     def test_gen_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

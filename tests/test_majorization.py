@@ -140,7 +140,7 @@ class TestHighDegree:
         cert = mj.check_majorization(W, Z)
         assert cert is not None
         assert cert.neg_entry == 0.0
-        assert max(cert.row_sum_residual, cert.col_sum_residual, cert.reconstruction_residual) <= mj.CERT_TOL
+        assert cert.holds
 
     @pytest.mark.parametrize("deg", [7, 8])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -149,6 +149,11 @@ class TestHighDegree:
 
     def test_degree6_pair_with_negative_simplex_entry(self):
         self._check(Polynomial.from_roots(NEGATIVE_R_ROOTS), 2)
+
+    def test_degree16_top_order_at_unit_scale(self):
+        # 1,800 variables; the products of 14 points are small beside the
+        # sum rows' unit entries, and NNLS on unscaled rows rejects the pair
+        self._check(Polynomial.from_roots(disk_points(np.random.default_rng(0), 16)), 14)
 
 
 class TestDbsInequality:

@@ -22,7 +22,7 @@ from conftest import disk_points, roots_of_unity
 def reconstruction_error(roots: RootSet, p: Polynomial) -> float:
     """Relative coefficient error of prod (z - z_i) against p made monic."""
     rebuilt = Polynomial.from_roots(roots.points)
-    target = np.array(p.monic().coeffs)
+    target = np.array(p.scaled(1.0 / p.coeffs[-1]).coeffs)
     scale = max(1.0, float(np.abs(target).max()))
     return float(np.abs(np.array(rebuilt.coeffs) - target).max() / scale)
 

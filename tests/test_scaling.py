@@ -7,13 +7,16 @@ the Gauss-Lucas weights are dimensionless.  Extensibility verdicts are
 not part of the oracle: B's conj(-z^2 A) term is not homogeneous in s;
 strict_feasibility's verdicts on s M are, and are checked against HiGHS
 on M.  Hull membership is checked under affine maps z -> alpha z + beta.
+Majorization verdicts are scale-free: at every s and k, the genuine pair
+(W, Z) of s times a degree-6 root set has a certificate that holds, and
+3 W, whose mean is three times Z's, has none.
 """
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from polycrit import maximal_zero as mz, metrics, normal_ops as no, variation_first as vf
+from polycrit import majorization as mj, maximal_zero as mz, metrics, normal_ops as no, variation_first as vf
 from polycrit.lp import Verdict, in_convex_hull, strict_feasibility
 from polycrit.poly import Polynomial
 
@@ -156,3 +159,17 @@ def test_strict_feasibility_verdicts_are_scale_free(s):
             assert highs_box_optimum(M) <= 1e-7 * np.abs(M).max()
             assert np.abs(np.array(cert.witness_mu) @ (s * M)).max() == cert.margin <= 1e-8 * size
     assert strict > 100
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("s", [1e-3, 1e-2, 0.1, 1e2, 1e3])
+def test_majorization_verdicts_are_scale_free(s, k):
+    # on rows not divided by max|Y|, genuine pairs are rejected (s = 1e3,
+    # k >= 2) and 3 W is accepted (s = 1e-3, k = 4, 5)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        p = Polynomial.from_roots(s * disk_points(rng, 6))
+        W, Z = mj.tuple_W(p, 0.0, k), mj.tuple_Z(p, 0.0, k)
+        cert = mj.check_majorization(W, Z)
+        assert cert is not None and cert.holds
+        assert mj.check_majorization(mj.ProductTuple(tuple(3 * v for v in W.values), 0.0, k), Z) is None
