@@ -109,13 +109,14 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[:n, 0]
 
 
-def _passive_solve(AT: np.ndarray, P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares on the columns P of A, held as its transpose AT: the
-    solution z, zero off P, and its entries on P.  The block goes to
-    _lstsq in Fortran order, so dgelsy needs no copy of it."""
+def _passive_solve(columns: np.ndarray, P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on the columns P of A, held as the C-ordered rows of
+    columns = A^T: the solution z, zero off P, and its entries on P.  The
+    gather copies contiguous rows, and the block goes to _lstsq in Fortran
+    order, so dgelsy needs no copy of it."""
     cols = P.nonzero()[0]
     z = np.zeros(len(P))
-    zp = _lstsq(AT.take(cols, axis=0).T, b) if len(cols) else z[:0]
+    zp = _lstsq(columns.take(cols, axis=0).T, b) if len(cols) else z[:0]
     z[cols] = zp
     return z, zp
 
@@ -135,8 +136,9 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None, b_max=None) -> t
     start x0 >= 0 must be the least squares solution on its own support
     (as every NNLS optimum is); P starts as that support.  P is one mask
     updated in place, the skipped indices a list, and least squares on P
-    goes through _lstsq (_passive_solve).  Raises NNLSIterationError
-    after 3n outer passes.
+    goes through _lstsq (_passive_solve) on one C-ordered copy of A^T
+    (none when A^T already is, as for LSPD's blocks).  Raises
+    NNLSIterationError after 3n outer passes.
     """
     m, n = A.shape
     x = np.zeros(n) if x0 is None else x0.copy()
@@ -149,6 +151,7 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None, b_max=None) -> t
         b_max = np.abs(b).max(initial=0.0)
     tol = 10 * max(m, n) * _EPS * np.maximum.reduce(col_sums) * b_max
     AT = A.T
+    columns = np.ascontiguousarray(AT)  # for the gathers; w below stays on AT, rounding as before
     P = x > 0.0
     skipped: list[int] = []
     passes = 0
@@ -164,7 +167,7 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None, b_max=None) -> t
             raise NNLSIterationError(passes, float(np.linalg.norm(r)))
         passes += 1
         P[j] = True
-        z, zp = _passive_solve(AT, P, b)
+        z, zp = _passive_solve(columns, P, b)
         if not z[j] > 0.0:
             P[j] = False
             skipped.append(j)
@@ -178,7 +181,7 @@ def _nnls(A: np.ndarray, b: np.ndarray, x0=None, col_sums=None, b_max=None) -> t
             x[Q[k]] = 0.0
             P &= x > 0.0
             x[~P] = 0.0
-            z, zp = _passive_solve(AT, P, b)
+            z, zp = _passive_solve(columns, P, b)
         x = z
         r = b - A @ x
 

@@ -104,12 +104,12 @@ def check_majorization(X: ProductTuple, Y: ProductTuple):
         raise ValueError(f"LP variable count {m * n} exceeds cap {TUPLE_CAP}")
     sigma = float(np.abs(yv).max()) or 1.0
     xv, yv = xv / sigma, yv / sigma
-    eye = np.eye(m)
+    eye = np.eye(m)[:, :, None]  # (eye * v).reshape(m, -1) is kron(I_m, v)
     A = np.concatenate([
-        np.kron(eye, np.ones(n)),
-        np.kron(np.ones(m), np.eye(n)),
-        np.kron(eye, yv.real),
-        np.kron(eye, yv.imag),
+        (eye * np.ones(n)).reshape(m, -1),
+        np.tile(np.eye(n), m),
+        (eye * yv.real).reshape(m, -1),
+        (eye * yv.imag).reshape(m, -1),
     ])
     b = np.concatenate([np.ones(m), np.full(n, m / n), xv.real, xv.imag])
     x = eq_nonneg_feasibility(A, b)

@@ -375,11 +375,6 @@ class Polynomial:
     def scaled(self, factor: complex) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
 
-    def shifted(self, s: complex) -> "Polynomial":
-        """Coefficients of p(z + s): the Taylor coefficients t_j(s) (Taylor shift)."""
-        t, _ = _poly_taylor(np.array(self.coeffs))(np.array([complex(s)]), self.degree)
-        return Polynomial(tuple(t[:, 0]))
-
     def find_roots(self) -> RootSet:
         """All roots with multiplicity, certified by backward error.
 

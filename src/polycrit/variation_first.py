@@ -223,20 +223,3 @@ def nongeneric_data(s: VariationSetup, h) -> NonGenericData:
     beta = _couple(np.array([_a_row(w1, s.a, z, Lk) for Lk in L]), z)
     return NonGenericData(c=complex(c), d=complex(d), L=L, beta=beta)
 
-
-def moebius_move(roots, t: float, h) -> np.ndarray:
-    """z_i(t) = (t h_i + z_i) / (1 + t conj(h_i) z_i) for aligned arrays."""
-    z = np.asarray(roots, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if len(h) != len(z):
-        raise ValueError("h must align with the roots")
-    if np.any(np.abs(h) > 1.0 + 1e-12):
-        raise ValueError("perturbation directions must satisfy |h_i| <= 1")
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must lie in [0, 1)")
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise ValueError("all roots must lie in the closed unit disk")
-    denom = 1.0 + t * np.conj(h) * z
-    if np.any(np.abs(denom) <= 1e-12):
-        raise ValueError("denominator underflow in the disk automorphism")
-    return (t * h + z) / denom

@@ -54,6 +54,12 @@ def scaled(p, s):
     return poly.Polynomial(tuple(c * s ** (n - k) for k, c in enumerate(p.coeffs)))
 
 
+def shifted(p, s):
+    """Coefficients of p(z + s): the Taylor coefficients t_j(s) (Taylor shift)."""
+    t, _ = poly._poly_taylor(np.array(p.coeffs))(np.array([complex(s)]), p.degree)
+    return poly.Polynomial(tuple(t[:, 0]))
+
+
 def highs_box_optimum(M) -> float:
     """t* of max t s.t. Re(M h) >= t, |Re h|, |Im h| <= 1 by HiGHS."""
     import scipy.optimize

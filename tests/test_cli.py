@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polycrit
-from polycrit import lp, majorization, variation_first
+from polycrit import lp, majorization, maximal_zero, variation_first
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
 from polycrit.metrics import bottleneck_match
@@ -44,7 +44,12 @@ class TestParsers:
 
     def test_range(self):
         assert parse_range("5..8") == [5, 6, 7, 8]
+        assert parse_range("5..5") == [5]
         assert parse_range("4") == [4]
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="empty range"):
+            parse_range("50..5")
 
 
 class TestJsonSchema:
@@ -306,9 +311,22 @@ class TestErrorPaths:
         def boom(p):
             raise RuntimeError("iteration budget exhausted")
 
-        monkeypatch.setattr("polycrit.cli.metrics.directed_hausdorff", boom)
+        monkeypatch.setattr("polycrit.metrics.directed_hausdorff", boom)
         assert main(["metrics", "d", quartic_file]) == 2
         assert "iteration budget" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["varsecond", "prop113", "--n", "50..5"], "empty range"),
+            (["varsecond", "prop112", "--n", "6..4"], "empty range"),
+            (["normal", "svar", "--n", "4", "--trials", "0"], "--trials"),
+        ],
+    )
+    def test_empty_sweep_is_exit_two(self, capsys, argv, message):
+        # a sweep over nothing would report a max of -inf (not JSON) and pass
+        assert main(argv) == 2
+        assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 class TestStartup:
@@ -325,6 +343,38 @@ class TestStartup:
         # scipy.optimize and scipy.linalg (the Schur form) are imported
         # inside the functions that need them
         assert self._loaded("import sys, polycrit.cli", ("scipy.sparse", "scipy.optimize", "scipy.linalg")) == []
+
+    def test_cli_import_leaves_layer_modules_unloaded(self):
+        # each subcommand handler imports the layer modules it runs
+        layers = ("suite", "normal_ops", "majorization", "maximal_zero", "variation_first", "variation_second")
+        prefixes = tuple(f"polycrit.{m}" for m in layers) + ("numpy.polynomial",)
+        assert self._loaded("import sys, polycrit.cli", prefixes) == []
+
+    @pytest.mark.parametrize(
+        "argv,layers",
+        [
+            (["metrics", "d", "{p}"], ()),
+            (["metrics", "delta", "{p}", "{q}"], ()),
+            (["varfirst", "extensible", "{p}", "--zero", "0.5"], ("variation_first",)),
+            (["zeromax", "verify", "{z}"], ("maximal_zero",)),
+            (["major", "check", "{p}", "--k", "2"], ("majorization",)),
+            (["normal", "compress", "{p}", "--index", "1"], ("normal_ops",)),
+            (["varsecond", "fit", "--family", "deg4", "--grid", "1e-3:8"], ("variation_second",)),
+        ],
+    )
+    def test_subcommand_loads_only_its_layers(self, tmp_path, argv, layers):
+        # cli, jsonio and poly, plus metrics and lp from the package __init__
+        roots = [0.5, -0.3 + 0.4j, 0.1j, -0.6, 0.2 - 0.5j]
+        files = {"p": Polynomial.from_roots(roots), "q": Polynomial.from_roots([0.51] + roots[1:])}
+        files["z"] = maximal_zero.construct(maximal_zero.ZeroMaximalSpec(n=5))
+        paths = {}
+        for key, poly in files.items():
+            paths[key] = str(tmp_path / f"{key}.json")
+            write_poly(paths[key], poly)
+        argv = [a.format(**paths) for a in argv]
+        loaded = self._loaded(f"import sys; from polycrit.cli import main; assert main({argv!r}) == 0", ("polycrit.",))
+        base = {"cli", "jsonio", "poly", "metrics", "lp"}
+        assert set(loaded) == {f"polycrit.{m}" for m in base.union(layers)}
 
     def test_package_import_leaves_scipy_unloaded(self):
         # a cold scipy.linalg import costs 240-330 ms on a 2-vCPU VM; the

@@ -8,7 +8,7 @@ from polycrit.metrics import alpha_distance, directed_hausdorff
 from polycrit.poly import Polynomial
 from polycrit import maximal_zero as mz
 
-from conftest import disk_points, scaled
+from conftest import disk_points, scaled, shifted
 
 
 def self_inversive_residual(p):
@@ -54,7 +54,7 @@ def affine_image(q, a, R):
     """s^n q((z - a) / s) with s = R n^(1/(n-1)): construct's q moved so
     that its zero sits at a and its critical points at distance R from a."""
     n = q.degree
-    return scaled(q, R * n ** (1 / (n - 1))).shifted(-a)
+    return shifted(scaled(q, R * n ** (1 / (n - 1))), -a)
 
 
 def lambda_bound(n):
