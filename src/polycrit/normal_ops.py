@@ -11,7 +11,7 @@ one Schur form; char_poly serves the differentiator identity itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -149,8 +149,7 @@ def char_poly(M):
 
 def principal_submatrix(M, i: int) -> np.ndarray:
     M = np.asarray(M)
-    if not 0 <= i < M.shape[0]:
-        raise ValueError(f"principal_submatrix: index {i} outside 0..{M.shape[0] - 1}")
+    _check_index("principal_submatrix", M.shape[0], i)
     return np.delete(np.delete(M, i, axis=0), i, axis=1)
 
 
@@ -190,11 +189,6 @@ def _row_groups(keys: np.ndarray):
         yield key, (keys == key).nonzero()[0]
 
 
-def _lex_order(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index that sorts each row of z (g, J) by (re, im), stably, as sort_lex."""
-    return np.arange(len(z))[:, None], np.lexsort((z.imag, z.real))
-
-
 def _parent_clusters(lam: np.ndarray, Z: np.ndarray, i, tol: float) -> list:
     """Distinct eigenvalues of each Schur form of a stack, lam (k, n) and
     Z (k, n, n), at tol relative to max |lambda|: per number K of them,
@@ -221,39 +215,29 @@ def _parent_clusters(lam: np.ndarray, Z: np.ndarray, i, tol: float) -> list:
     groups = []
     for size, rows in _row_groups(label.max(axis=1) + 1):
         mu = (re[rows, :size] + 1j * im[rows, :size]) / mult[rows, :size]
-        order = _lex_order(mu)
-        groups.append((rows, mu[order], mult[rows, :size][order], W[rows, :size][order]))
+        lex = partial(np.take_along_axis, indices=poly._lex_argsort(mu), axis=1)
+        groups.append((rows, lex(mu), lex(mult[rows, :size]), lex(W[rows, :size])))
     return groups
 
 
 def _pf(mu: np.ndarray, W: np.ndarray, x: np.ndarray, k: int):
     """Taylor values of f(z) = sum W / (z - mu) over a stack, mu and W
-    (g, K), at the points x (g, J):
+    (..., K), at the points x (..., J):
     t_j(x) = f^(j)(x) / j! = (-1)^j sum W / (x - mu)^(j+1) for j = 0..k,
     with the backward-error budget of each value,
     gamma_j * (sum W |x-mu|^(-j-1) + (|x| + |mu|) sum W |x-mu|^(-j-2)),
-    both (k + 1, g, J).  Each row is bit for bit the row on its own."""
-    inv = 1.0 / (x[:, :, None] - mu[:, None, :])
-    w = W[:, None, :] * (1.0 + (np.abs(x)[:, :, None] + np.abs(mu)[:, None, :]) * np.abs(inv))
+    both (k + 1, ..., J), each row bit for bit the row on its own."""
+    inv = 1.0 / (x[..., :, None] - mu[..., None, :])
+    w = W[..., None, :] * (1.0 + (np.abs(x)[..., :, None] + np.abs(mu)[..., None, :]) * np.abs(inv))
     t = np.empty((k + 1,) + x.shape, dtype=complex)
     b = np.empty((k + 1,) + x.shape)
-    Wc = W[:, :, None]
+    Wc = W[..., :, None]
     p = inv
     for j in range(k + 1):
         t[j] = (p @ Wc)[..., 0]
-        b[j] = poly._gamma(mu.shape[1], j) * (np.abs(p) * w).sum(axis=-1)
+        b[j] = poly._gamma(mu.shape[-1], j) * (np.abs(p) * w).sum(axis=-1)
         p = -p * inv
     return t, b
-
-
-def _row_taylor(mu: np.ndarray, W: np.ndarray):
-    """Taylor callback of one row's f for poly._resolve_multiple."""
-
-    def taylor(x: np.ndarray, k: int):
-        t, b = _pf(mu[None], W[None], x[None], k)
-        return t[:, 0], b[:, 0]
-
-    return taylor
 
 
 def _free_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -293,9 +277,9 @@ def _attached_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
     numerator of f.  Starts that stalled around a multiple zero are
     merged by poly._resolve_multiple, the resolver find_roots uses, run
     only on the rows where the stacked screen finds two such starts; those
-    merges are final.  Every other start is polished by Newton on f, row
-    by row as poly._newton polishes one row, until it meets the budget of
-    f, or raises CompressionSpectrumError.
+    merges are final.  Every other start is polished by poly._newton on f
+    over the stack, the merged points held fixed, until each point of its
+    row meets the budget of f, or raises CompressionSpectrumError.
     """
     g, K = mu.shape
     if K < 2:
@@ -309,27 +293,15 @@ def _attached_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
         shaky = poly._shaky(z, t, b).sum(axis=1) > 1
     merged = np.zeros(z.shape, dtype=bool)
     for r in shaky.nonzero()[0]:
-        z[r], merged[r], _ = poly._resolve_multiple(z[r], _row_taylor(mu[r], W[r]))
+        z[r], merged[r], _ = poly._resolve_multiple(z[r], partial(_pf, mu[r], W[r]))
     return _polish(mu, W, z, merged, t, b)
 
 
 def _polish(mu, W, x, keep, t, b) -> np.ndarray:
-    """Newton on f from the points x (g, J) outside keep, with t, b =
-    _pf(mu, W, x, 1) already evaluated; a row stops once each of its
-    points meets its budget, or after poly._NEWTON_MAX steps, as
-    poly._newton does for one row at m = 1."""
-    live = np.arange(len(x))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(poly._NEWTON_MAX + 1):
-            if it:
-                t[:, live], b[:, live] = _pf(mu[live], W[live], x[live], 1)
-            met = (np.abs(t[0, live]) <= b[0, live]) | keep[live]
-            live = live[~met.all(axis=1)] if it < poly._NEWTON_MAX else live[:0]
-            if not len(live):
-                break
-            # 1 * t_1 is poly._newton's m * t_m, so the steps round alike
-            step = x[live] - t[0, live] / (1 * t[1, live])
-            x[live] = np.where(keep[live], x[live], step)
+    """poly._newton on f from the points x (g, J) outside keep, with t, b =
+    _pf(mu, W, x, 1) at x; CompressionSpectrumError names the worst free
+    point of the first row that misses its budget."""
+    x, t, b = poly._newton(x, partial(_pf, mu, W), 1, (t, b), keep)
     bad = ~(np.abs(t[0]) <= b[0]) & ~keep
     if bad.any():
         r = bad.any(axis=1).nonzero()[0][0]
@@ -339,12 +311,14 @@ def _polish(mu, W, x, keep, t, b) -> np.ndarray:
     return x
 
 
-def _check_compression(n: int, i) -> None:
-    i = np.asarray(i)
-    if not ((0 <= i) & (i < n)).all():
-        raise ValueError("index out of range")
-    if n > poly.MAX_DEGREE:
-        raise ValueError(f"matrix order {n} exceeds compression order cap {poly.MAX_DEGREE}")
+def _check_index(where: str, n: int, i, cap: int | None = None) -> None:
+    """ValueError from the function where unless every deletion index i
+    (one, or one per matrix) lies in 0..n-1 and the order n is within cap."""
+    bad = [j for j in np.ravel(i) if not 0 <= j < n]
+    if bad:
+        raise ValueError(f"{where}: index out of range: i = {bad[0]} for a matrix of order {n}")
+    if cap is not None and n > cap:
+        raise ValueError(f"{where}: matrix order {n} exceeds compression order cap {cap}")
 
 
 def _compress(lam: np.ndarray, Z: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +333,7 @@ def _compress(lam: np.ndarray, Z: np.ndarray, i) -> tuple[np.ndarray, np.ndarray
         full[rows] = np.repeat(mu.ravel(), mult.ravel()).reshape(g, n)
         forced = np.repeat(mu.ravel(), (mult - 1).ravel()).reshape(g, n - K)
         pts = np.concatenate([forced, _free_zeros(mu, W)], axis=1)
-        sub[rows] = pts[_lex_order(pts)]
+        sub[rows] = np.take_along_axis(pts, poly._lex_argsort(pts), 1)
     return full, sub
 
 
@@ -374,9 +348,10 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     the workspace size taken once per order, then every other step of
     compression_spectrum over the stack: the cluster screen, the
     Householder compression, np.linalg.eigvals, the partial-fraction
-    Taylor values and the Newton polish; poly._resolve_multiple runs only
-    on the rows with shaky starts.  The stack goes through in blocks of
-    about _BLOCK_ENTRIES matrix entries, which bounds the temporaries.
+    Taylor values and the Newton polish, poly._newton row by row;
+    poly._resolve_multiple runs only on the rows with shaky starts.  The
+    stack goes through in blocks of about _BLOCK_ENTRIES matrix entries,
+    which bounds the temporaries.
     Raises ValueError on a non-normal or non-finite matrix, and
     CompressionSpectrumError as compression_spectrum does.
     """
@@ -384,7 +359,7 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise ValueError("stack of square matrices (k, n, n) required")
     k, n = As.shape[:2]
-    _check_compression(n, i)
+    _check_index("compression_spectra", n, i, poly.MAX_DEGREE)
     i = np.broadcast_to(i, k)
     full = np.empty((k, n), dtype=complex)
     sub = np.empty((k, n - 1), dtype=complex)
@@ -422,7 +397,7 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     stays where it was found, however close.  The order of A is capped at
     poly.MAX_DEGREE.
     """
-    _check_compression(A.n, i)
+    _check_index("compression_spectrum", A.n, i, poly.MAX_DEGREE)
     lam, Z = A._eigenbasis
     full, sub = _compress(lam[None], Z[None], i)
     return SpectrumPair(eig_full=tuple(full[0]), eig_sub=tuple(sub[0]), source_index=i)
@@ -485,8 +460,7 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     are nonnegative and sum to 1 (row of a unitary), which places every
     submatrix eigenvalue in the convex hull of the parent spectrum.
     """
-    if not 0 <= i < A.n:
-        raise ValueError("index out of range")
+    _check_index("gauss_lucas_weights", A.n, i)
     eigvals, Z = A._eigenbasis
     weights = np.abs(Z[i, :]) ** 2
     sub = principal_submatrix(A.entries, i)
@@ -516,8 +490,7 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     eigenvalues closer than 10 INTERLACE_TOL max |lambda| raise
     ValueError, so the ratios of s A are those of A.
     """
-    if not 0 <= i < A.n:
-        raise ValueError("index out of range")
+    _check_index("interlace_ratios", A.n, i)
     lam, Z = A._eigenbasis
     [(_, mu, _, W)] = _parent_clusters(lam[None], Z[None], i, INTERLACE_TOL)
     centers = mu[0]

@@ -6,6 +6,7 @@ families sit beside monic polynomials without special cases.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,13 @@ class RootFindingError(RuntimeError):
 
 def sort_lex(points) -> list[complex]:
     """Deterministic ordering by (re, im); ties in re broken by im."""
-    return sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
+    z = np.array([complex(p) for p in points], dtype=complex)
+    return z[_lex_argsort(z)].tolist()
+
+
+def _lex_argsort(z: np.ndarray) -> np.ndarray:
+    """Indices that sort each row of z (..., J) by (re, im), stably: the RootSet order."""
+    return np.lexsort((z.imag, z.real), axis=-1)
 
 
 def disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -62,6 +69,13 @@ def cluster_indices(points, tol: float) -> list[list[int]]:
     and the groups are ordered by their first index.
     """
     return sorted(sorted(_leaves(tree)) for tree in _single_linkage(points, tol))
+
+
+def _check_finite(what: str, values) -> None:
+    """ValueError naming the index and value of the first non-finite value."""
+    bad = [k for k, v in enumerate(values) if not cmath.isfinite(v)]
+    if bad:
+        raise ValueError(f"{what} {bad[0]} is not finite: {values[bad[0]]}")
 
 
 def _horner(coeffs_ascending: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -176,18 +190,22 @@ def _poly_taylor(coeffs: np.ndarray):
     return taylor
 
 
-def _newton(x: np.ndarray, taylor, m: int, first=None):
-    """Newton on f^(m-1) from the points x, where an m-fold zero of f is a
-    simple zero, until every |t_(m-1)| meets its budget (a start that
-    already does is as accurate as the data allow and is not moved).
-    first, when given, is taylor(x, m) already evaluated at the starts.
-    Returns the points with the Taylor orders 0..m and budgets there."""
+def _newton(x: np.ndarray, taylor, m: int, first=None, keep=None):
+    """Newton on f^(m-1), where an m-fold zero of f is simple, from the
+    points x (..., J) row by row (1-D: one row): each step moves the points
+    of a row outside the mask keep, until each of them meets its budget on
+    |t_(m-1)|, or for _NEWTON_MAX steps.  taylor(x, k) gives t_j(x) =
+    f^(j)(x) / j!, j = 0..k, and their budgets, each (k + 1,) + x.shape;
+    first, if given, is taylor(x, m) at the starts.  Returns the points
+    with the Taylor orders 0..m and budgets there."""
+    hold = False if keep is None else keep
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_NEWTON_MAX + 1):
             t, b = taylor(x, m) if it or first is None else first
-            if it == _NEWTON_MAX or np.all(np.abs(t[m - 1]) <= b[m - 1]):
+            done = ((np.abs(t[m - 1]) <= b[m - 1]) | hold).all(axis=-1, keepdims=True)
+            if it == _NEWTON_MAX or done.all():
                 break
-            x = x - t[m - 1] / (m * t[m])
+            x = np.where(done | hold, x, x - t[m - 1] / (m * t[m]))
     return x, t, b
 
 
@@ -290,7 +308,8 @@ class RootSet:
     def from_points(cls, points) -> "RootSet":
         """The points lex-sorted and otherwise unchanged: multiplicity is
         decided by _resolve_multiple alone."""
-        return cls(tuple(np.array(sort_lex(points))))
+        z = np.asarray(points, dtype=complex)
+        return cls(tuple(z[_lex_argsort(z)]))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -303,8 +322,9 @@ class RootSet:
 class Polynomial:
     """Polynomial with ascending-degree coefficient tuple.
 
-    Invariants: len(coeffs) == degree + 1 and the leading coefficient has
-    magnitude > 1e-14 unless the degree is zero.  The instance is frozen,
+    Invariants: len(coeffs) == degree + 1, every coefficient is finite,
+    and the leading coefficient has magnitude > 1e-14 unless the degree is
+    zero.  The instance is frozen,
     so its derivative and roots are computed once and kept; equality and
     hashing see the coefficients only.
     """
@@ -316,6 +336,7 @@ class Polynomial:
             raise ValueError("empty coefficient list")
         coeffs = tuple(complex(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        _check_finite("coefficient", coeffs)
         if len(coeffs) - 1 > MAX_DEGREE:
             raise ValueError(f"degree {len(coeffs) - 1} exceeds supported maximum {MAX_DEGREE}")
         if len(coeffs) > 1 and abs(coeffs[-1]) <= LEADING_TOL:
@@ -328,6 +349,7 @@ class Polynomial:
         pts = [complex(p) for p in points]
         if not pts:
             raise ValueError("degree zero unsupported: from_roots needs at least one root")
+        _check_finite("root", pts)
         return cls(tuple(_expand_roots(pts)))
 
     @property

@@ -98,11 +98,15 @@ def fit_quadratic_growth(family: str, grid) -> GrowthFit:
     """Fit the quadratic growth coefficient of d along the "deg4" or
     "deg5" family.  The model carries an a^3 term to absorb the cubic
     error of the construction; both coefficients are reported together
-    with the max fit residual.
+    with the max fit residual.  The grid needs at least 4 points, two of
+    them distinct and nonzero, or ValueError is raised.
     """
     grid = [float(a) for a in grid]
     if len(grid) < 4:
         raise ValueError("underdetermined grid: need at least 4 points")
+    if (k := len(set(grid) - {0.0})) < 2:
+        # the (a^2, a^3) design has rank 2 exactly when two nonzero points differ
+        raise ValueError(f"degenerate grid: the a^2, a^3 fit needs 2 distinct nonzero points, got {k}")
     if family == "deg4":
         fam = family_deg4
     elif family == "deg5":

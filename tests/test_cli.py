@@ -315,6 +315,19 @@ class TestErrorPaths:
         assert main(["metrics", "d", quartic_file]) == 2
         assert "iteration budget" in json.loads(capsys.readouterr().out)["error"]
 
+    def test_non_finite_coefficient_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"repr": "coeffs", "data": [[1, 0], [NaN, 0], [1, 0]]}')
+        assert main(["metrics", "d", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "coefficient 1 is not finite" in json.loads(captured.out)["error"]
+        assert captured.err == ""  # rejected before any root finding
+
+    @pytest.mark.parametrize("grid", ["0,0,0,0", "1e-3,1e-3,1e-3,1e-3"])
+    def test_degenerate_fit_grid_is_exit_two(self, capsys, grid):
+        assert main(["varsecond", "fit", "--family", "deg4", "--grid", grid]) == 2
+        assert "degenerate grid" in json.loads(capsys.readouterr().out)["error"]
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -1,4 +1,5 @@
 from collections import Counter
+import re
 
 import mpmath
 import numpy as np
@@ -245,6 +246,23 @@ class TestPrincipalSubmatrix:
     def test_index_outside_range_raises(self, i):
         with pytest.raises(ValueError, match="principal_submatrix: index"):
             no.principal_submatrix(np.eye(3), i)
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("principal_submatrix", lambda A, i: no.principal_submatrix(A.entries, i)),
+            ("compression_spectrum", lambda A, i: no.compression_spectrum(A, i)),
+            ("compression_spectra", lambda A, i: no.compression_spectra(np.array([A.entries] * 2), [0, i])),
+            ("interlace_ratios", lambda A, i: no.interlace_ratios(A, i)),
+            ("gauss_lucas_weights", lambda A, i: no.gauss_lucas_weights(A, i, [2.0])),
+        ],
+    )
+    def test_one_index_check_names_function_index_and_order(self, name, call):
+        A = no.normal_from_roots([1.0, 1j, -1.0])
+        for i in (-1, 3):
+            message = f"{name}: index out of range: i = {i} for a matrix of order 3"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(A, i)
 
 
 class TestEigenbasis:

@@ -480,6 +480,17 @@ class TestValidation:
         for z in disk_points(rng, 6):
             assert abs(q(z) - p(z + s)) <= 1e-12
 
+    def test_non_finite_coefficient_named(self):
+        with pytest.raises(ValueError, match=r"coefficient 2 is not finite: \(nan"):
+            Polynomial((1.0, 0.0, complex(np.nan, 0.0), 1.0))
+        with pytest.raises(ValueError, match=r"coefficient 0 is not finite: \(inf"):
+            Polynomial((np.inf, 1.0))
+
+    def test_from_roots_rejects_an_infinite_root(self):
+        # before the Leja expansion, which would turn it into NaN coefficients
+        with pytest.raises(ValueError, match=r"root 1 is not finite: \(inf"):
+            Polynomial.from_roots([0.5, np.inf, -0.5])
+
     def test_sort_lex_deterministic(self):
         pts = [1 + 1j, 1 - 1j, 0.0, 1 + 0j]
         assert sort_lex(pts) == [0.0, 1 - 1j, 1 + 0j, 1 + 1j]
@@ -492,6 +503,72 @@ class TestValidation:
         rs = RootSet((1.0 + 0j, -1.0 + 0j))
         assert len(rs) == 2
         assert rs.as_array().dtype == complex
+
+
+class TestLexOrder:
+    """_lex_argsort over a stack sorts each row as sort_lex does, and both
+    as Python's stable sort by (re, im), bit for bit: ties in re, +-0.0 and
+    exact duplicates keep their input order."""
+
+    POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j, complex(-0.0, 1.0), 1 + 1j, 1 - 1j, 1.0, -2.0]
+
+    def test_rows_of_a_stack(self):
+        # rows longer than 16, where numpy's unstable sorts stop using insertion sort
+        z = np.array(self.POOL, dtype=complex)[np.random.default_rng(3).integers(len(self.POOL), size=(4, 40))]
+        got = np.take_along_axis(z, poly._lex_argsort(z), axis=-1)
+        for row, out in zip(z, got):
+            stable = sorted((complex(v) for v in row), key=lambda v: (v.real, v.imag))
+            assert out.tobytes() == np.array(sort_lex(row)).tobytes() == np.array(stable).tobytes()
+            assert np.array(RootSet.from_points(row).points).tobytes() == out.tobytes()
+
+
+class TestStackedNewton:
+    """poly._newton over a stack (g, J) equals _newton on each row alone,
+    bit for bit: points, Taylor values and budgets."""
+
+    @staticmethod
+    def _stack(m):
+        from functools import partial
+
+        from polycrit.normal_ops import _attached_zeros, _pf
+
+        rng = np.random.default_rng(11)
+        g, K = 4, 5
+        mu = disk_points(rng, g * K).reshape(g, K)
+        W = rng.uniform(0.1, 1.0, (g, K))
+        x = _attached_zeros(mu, W) + 1e-3 * disk_points(rng, g * (K - 1)).reshape(g, K - 1)
+        x[1] = poly._newton(x[1], partial(_pf, mu[1], W[1]), m)[0]  # meets its budget at the starts
+        x[2] = 1e3 * np.exp(2j * np.pi * np.arange(K - 1) / (K - 1))  # diverges: runs _NEWTON_MAX steps
+        keep = np.zeros(x.shape, dtype=bool)
+        keep[3, [0, 2]] = True  # held fixed: they need not be zeros
+        x[3, 0] = 2.0 + 2.0j
+        return mu, W, x, keep
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("given_first", [False, True])
+    def test_rows_alone(self, m, given_first):
+        from polycrit.normal_ops import _pf
+
+        mu, W, x, keep = self._stack(m)
+        first = _pf(mu, W, x, m) if given_first else None
+        X, T, B = poly._newton(x.copy(), lambda z, k: _pf(mu, W, z, k), m, first, keep)
+        steps = []
+        for r in range(len(x)):
+            calls = []
+
+            def taylor(z, k, r=r):
+                calls.append(1)
+                return _pf(mu[r], W[r], z, k)
+
+            row_first = _pf(mu[r], W[r], x[r], m) if given_first else None
+            xr, tr, br = poly._newton(x[r].copy(), taylor, m, row_first, keep[r] if keep[r].any() else None)
+            steps.append(len(calls) - (0 if given_first else 1))
+            assert X[r].tobytes() == xr.tobytes()
+            assert T[:, r].tobytes() == tr.tobytes() and B[:, r].tobytes() == br.tobytes()
+        assert steps[1] == 0 and steps[2] == poly._NEWTON_MAX
+        assert X[3, 0] == 2.0 + 2.0j and X[3, 2] == x[3, 2]
+        met = np.abs(T[m - 1]) <= B[m - 1]
+        assert met[1].all() and not met[2].all()
 
 
 class TestClusterIndices:

@@ -116,6 +116,17 @@ class TestGrowthFit:
         with pytest.raises(ValueError, match="underdetermined"):
             vs.fit_quadratic_growth("deg4", [1e-3, 2e-3, 3e-3])
 
+    @pytest.mark.parametrize(
+        "grid,distinct",
+        [([0.0] * 4, 0), ([1e-3] * 4, 1), ([0.0, -0.0, 2e-3, 2e-3], 1)],
+    )
+    def test_rank_deficient_grid(self, grid, distinct):
+        # enough points, but the (a^2, a^3) design has rank < 2: lstsq would
+        # return a min-norm fit with residual 0
+        with pytest.raises(ValueError, match=f"2 distinct nonzero points, got {distinct}"):
+            vs.fit_quadratic_growth("deg4", grid)
+        assert vs.fit_quadratic_growth("deg4", [0.0, 0.0, 1e-3, 2e-3]).residual <= 1e-12
+
 
 class TestProp112:
     def test_aligned_perturbation_holds(self):
