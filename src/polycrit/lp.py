@@ -314,8 +314,10 @@ def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def strict_optimum(M) -> float:
-    """t* of the box LP alone; used by duality-exclusivity sweeps to apply
-    the rejection band around 0."""
+    """t* of the box LP alone, t* >= 0 since h = 0 is feasible.  Duality
+    sweeps read a strictly feasible system from t* above a margin and a
+    positively singular one from t* = 0 to rounding, and reject the band
+    in between."""
     return _box_lp(_finite_matrix(M, "strict_optimum"))[0]
 
 

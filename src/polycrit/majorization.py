@@ -64,7 +64,7 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
 
-def _product_tuple(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> ProductTuple:
+def _products(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> np.ndarray:
     """All k-subset products of (roots of q - alpha), 1 <= k <= deg p - 1."""
     if not 1 <= k <= p.degree - 1:
         raise ValueError("k must satisfy 1 <= k <= n-1")
@@ -73,18 +73,17 @@ def _product_tuple(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> Prod
     count = math.comb(n, k)
     if count > TUPLE_CAP:
         raise ValueError(f"combinatorial blowup: C({n},{k}) = {count} exceeds cap {TUPLE_CAP}")
-    vals = np.prod(pts[_subsets(n, k)], axis=1)
-    return ProductTuple(values=tuple(vals.tolist()), alpha=complex(alpha), k=k)
+    return np.prod(pts[_subsets(n, k)], axis=1)
 
 
 def tuple_Z(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
     """All k-subset products of (zeros - alpha)."""
-    return _product_tuple(p, p, alpha, k)
+    return ProductTuple(values=tuple(_products(p, p, alpha, k).tolist()), alpha=complex(alpha), k=k)
 
 
 def tuple_W(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
     """All k-subset products of (critical points - alpha)."""
-    return _product_tuple(p, p.derivative(), alpha, k)
+    return ProductTuple(values=tuple(_products(p, p.derivative(), alpha, k).tolist()), alpha=complex(alpha), k=k)
 
 
 def check_majorization(X: ProductTuple, Y: ProductTuple):
@@ -170,8 +169,6 @@ def symmetric_mean_identity(p: Polynomial, alpha: complex, k: int) -> float:
     Vanishes identically when the critical points really are the
     derivative's roots; a corrupted critical set breaks it at first order.
     """
-    zt = tuple_Z(p, alpha, k)
-    wt = tuple_W(p, alpha, k)
-    return abs(
-        complex(np.mean(np.asarray(wt.values))) - complex(np.mean(np.asarray(zt.values)))
-    )
+    w_mean = _products(p, p.derivative(), alpha, k).mean()
+    z_mean = _products(p, p, alpha, k).mean()
+    return abs(complex(w_mean) - complex(z_mean))

@@ -22,7 +22,6 @@ from .poly import Polynomial, cluster_indices
 NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
 COMPRESSION_TOL = 1e-8  # compression_spectrum groups the parent spectrum at this distance
 INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
-_BLOCK_ENTRIES = 4096  # compression_spectra takes its stack in blocks of about this many entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +84,25 @@ def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return U, Uh
 
 
-def normal_from_roots(roots) -> NormalMatrix:
-    """U* diag(roots) U with the Fourier unitary.
+def normal_from_roots(roots):
+    """U* diag(roots) U with the Fourier unitary: a NormalMatrix for one
+    root set, the entries (k, n, n) for a stack of root sets (k, n), bit
+    for bit those of each set alone and checked normal as one stack.
 
     Every standard basis vector becomes a trace vector, so deleting any
     row/column pair compresses the spectrum onto the critical points of
     the characteristic polynomial.
     """
     r = np.asarray(roots, dtype=complex)
-    if len(r) < 2:
+    n = r.shape[-1] if r.ndim else 0
+    if n < 2:
         raise ValueError("need at least two eigenvalues")
-    U, Uh = _dft_pair(len(r))
-    return as_normal(Uh @ np.diag(r) @ U)
+    U, Uh = _dft_pair(n)
+    D = np.zeros(r.shape + (n,), dtype=complex)
+    D[..., range(n), range(n)] = r
+    A = Uh @ D @ U
+    residual = _normality_residuals(A)
+    return A if r.ndim > 1 else NormalMatrix(entries=A, normality_residual=float(residual))
 
 
 def random_normal(roots, seed: int) -> NormalMatrix:
@@ -350,7 +356,7 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     Householder compression, np.linalg.eigvals, the partial-fraction
     Taylor values and the Newton polish, poly._newton row by row;
     poly._resolve_multiple runs only on the rows with shaky starts.  The
-    stack goes through in blocks of about _BLOCK_ENTRIES matrix entries,
+    stack goes through in blocks of about poly._BLOCK_ENTRIES matrix entries,
     which bounds the temporaries.
     Raises ValueError on a non-normal or non-finite matrix, and
     CompressionSpectrumError as compression_spectrum does.
@@ -363,7 +369,7 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     i = np.broadcast_to(i, k)
     full = np.empty((k, n), dtype=complex)
     sub = np.empty((k, n - 1), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // (n * n))
+    step = max(1, poly._BLOCK_ENTRIES // (n * n))
     for s in range(0, k, step):
         block = As[s : s + step]
         _normality_residuals(block)

@@ -20,6 +20,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _NEWTON_MAX = 60
 _SHAKY = 1e-3  # a point whose Newton step exceeds this share of its gap may be multiple
+_BLOCK_ENTRIES = 4096  # stacks go through in blocks of about this many (point, point) or matrix entries
 _BINOM = np.array([[math.comb(i, j) for j in range(MAX_DEGREE + 1)] for i in range(MAX_DEGREE + 1)], dtype=float)
 
 
@@ -93,44 +94,63 @@ def _gamma(n: int, k: int) -> float:
 
 
 def aberth_roots(coeffs) -> np.ndarray:
-    """All roots of an ascending-coefficient polynomial at once.
+    """All roots of an ascending-coefficient polynomial at once, or of each
+    row of a stack (k, n + 1) of one degree: roots (k, n), 1-D being one row.
 
     Aberth-Ehrlich simultaneous iteration.  Initial guesses sit on a circle
     of radius 1 + max_k |a_{n-k}/a_n|^{1/k}, rotated by a fixed offset so
-    symmetric root configurations cannot stall the iteration.  It stops one
-    step after every iterate z meets the backward-error bound |p(z)| <=
+    symmetric root configurations cannot stall the iteration.  A row stops
+    one step after every iterate z meets the backward-error bound |p(z)| <=
     gamma_0 * sum |a_k| |z|^k, which makes z an exact root of a polynomial
     within rounding of p.  The iterates of an m-fold root stall on a ring
     of radius about eps^(1/m); find_roots merges them (_resolve_multiple).
-    It takes at most ABERTH_MAX_ITER steps, read at each call.
+    A row takes at most ABERTH_MAX_ITER steps, read at each call.  The
+    iteration is elementwise over the points, and the stopping rule, the
+    nudge off a vanishing derivative and the step count are per row, so
+    each row of a stack gets bit for bit the roots of a call on it alone.
     """
     c = np.asarray(coeffs, dtype=complex)
-    deg = len(c) - 1
+    deg = c.shape[-1] - 1
     if deg < 1:
         raise ValueError("need degree >= 1")
     if deg == 1:
-        return np.array([-c[0] / c[1]])
-    c = c / c[-1]
+        return -c[..., :1] / c[..., 1:]
+    shape = c.shape[:-1] + (deg,)
+    c = c.reshape(-1, deg + 1)
+    c = c / c[:, -1:]
+    # |a_(n-k)|^(1/k) by Python's abs and pow, which numpy's vector loops
+    # for them may not match to the last bit
+    rows = c.tolist()
+    radius = np.array([1.0 + max(abs(a) ** (1.0 / k) for k, a in enumerate(row[-2::-1], 1)) for row in rows])
+    z = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
+    out = np.empty_like(z)
+    live = np.arange(len(c))  # the rows still iterating; z holds their iterates
     taylor = _poly_taylor(c)
-    radius = 1.0 + max(abs(c[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
-    for _ in range(ABERTH_MAX_ITER):
-        (pv, dv), (budget, _) = taylor(z, 1)
-        stuck = np.abs(dv) < 1e-280
-        if stuck.any():
-            z = np.where(stuck, z * (1 + 1e-9) + 1e-9, z)
-            continue
-        met = np.all(np.abs(pv) <= budget)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(np.abs(denom) < 1e-280, 1e-280, denom)
-        z = z - newton / denom
-        if met:
-            break
-    return z
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_MAX_ITER):
+            (pv, dv), (budget, _) = taylor(z, 1)
+            met = np.all(np.abs(pv) <= budget, axis=1)
+            newton = pv / dv
+            diff = z[:, :, None] - z[:, None, :]
+            diff.reshape(len(z), -1)[:, :: deg + 1] = np.inf
+            repulsion = (1.0 / diff).sum(axis=2)
+            denom = 1.0 - newton * repulsion
+            denom = np.where(np.abs(denom) < 1e-280, 1e-280, denom)
+            step = z - newton / denom
+            small = np.abs(dv) < 1e-280
+            if small.any():  # a row with a vanishing derivative takes a nudge, not a step
+                stuck = small.any(axis=1)
+                step[stuck] = np.where(small[stuck], z[stuck] * (1 + 1e-9) + 1e-9, z[stuck])
+                met &= ~stuck
+            z = step
+            if met.any():
+                out[live[met]] = z[met]
+                live, z = live[~met], z[~met]
+                if not len(live):
+                    break
+                taylor = _poly_taylor(c[live])
+    out[live] = z
+    return out.reshape(shape)
 
 
 def _leja_order(points: np.ndarray) -> np.ndarray:
@@ -160,31 +180,40 @@ def _expand_roots(points) -> np.ndarray:
 
 
 def _poly_taylor(coeffs: np.ndarray):
-    """Taylor callback of a polynomial: orders 0..k of t_j(x) = p^(j)(x) / j!
+    """Taylor callback of a polynomial, or of each row of a stack (k, n + 1)
+    of one degree at points x (k, J): orders 0..k of t_j(x) = p^(j)(x) / j!
     = sum_i R[j, i] x^i on the rows R[j, i] = C(i+j, j) c_(i+j), zero above
-    degree n - j, and their budgets gamma_j * sum_i |R[j, i]| |x|^i + tiny.
-    One Horner pass over the columns of R and |R| gives every order and
-    budget, bit for bit the per-order values: at finite x the padding adds
-    0 x + 0 = 0, and complex arithmetic on real |R| and |x| rounds as real."""
-    n = len(coeffs) - 1
-    R = np.zeros((n + 1, n + 1), dtype=complex)
+    degree n - j, and their budgets gamma_j * sum_i |R[j, i]| |x|^i + tiny,
+    each (k + 1,) + x.shape.  One Horner pass over the columns of R and |R|
+    gives every order and budget, bit for bit the per-order values: at
+    finite x the padding adds 0 x + 0 = 0, and complex arithmetic on real |R|
+    and |x| rounds as real.  The pass is elementwise, so a row of a stack
+    gets the values of its own callback."""
+    n = coeffs.shape[-1] - 1
+    R = np.zeros(coeffs.shape[:-1] + (n + 1, n + 1), dtype=complex)
     for j in range(n + 1):
-        R[j, : n + 1 - j] = coeffs[j:] * _BINOM[j : n + 1, j]
-    cols = np.stack([R.T, np.abs(R.T)], axis=1)  # cols[i] = (R[:, i], |R[:, i]|)
-    gamma = np.array([_gamma(n, j) for j in range(n + 1)])
+        R[..., j, : n + 1 - j] = coeffs[..., j:] * _BINOM[j : n + 1, j]
+    cols = np.empty((n + 1, 2) + R.shape[-2::-1], dtype=complex)  # cols[i] = (R[:, i], |R[:, i]|)
+    cols[:, 0] = R.T
+    cols[:, 1] = np.abs(R.T)
+    gamma = _gamma(n, np.arange(n + 1.0)).reshape((n + 1,) + (1,) * coeffs.ndim)
 
     def taylor(x: np.ndarray, k: int):
         r = min(k, n) + 1
-        pts = np.stack([x, np.abs(x)])[:, None]
-        out = np.empty((2, r, len(x)), dtype=complex)
-        out[...] = cols[n, :, :r, None]
-        for col in cols[-2::-1, :, :r, None]:
+        pts = np.empty((2, 1) + x.shape, dtype=complex)
+        pts[0, 0] = x
+        pts[1, 0] = np.abs(x)
+        out = np.empty((2, r) + x.shape, dtype=complex)
+        out[...] = cols[n, :, :r, ..., None]
+        for col in cols[-2::-1, :, :r, ..., None]:
             out *= pts
             out += col
-        t = np.zeros((k + 1, len(x)), dtype=complex)
-        b = np.full((k + 1, len(x)), _TINY)
+        if r > k:
+            return out[0], gamma[:r] * out[1].real + _TINY
+        t = np.zeros((k + 1,) + x.shape, dtype=complex)
+        b = np.full((k + 1,) + x.shape, _TINY)
         t[:r] = out[0]
-        b[:r] += gamma[:r, None] * out[1].real
+        b[:r] += gamma[:r] * out[1].real
         return t, b
 
     return taylor
@@ -416,6 +445,9 @@ class Polynomial:
         The result is memoized on the instance: every call returns the
         same RootSet, which is immutable and shared by all callers.  A
         failure is never cached, so it is raised again on every call.
+        One polynomial runs as a stack of one through the code that
+        find_roots_batch runs on many of one degree, which fills this memo
+        with the same RootSet.
         """
         return self._roots
 
@@ -424,17 +456,64 @@ class Polynomial:
         if self.degree < 1:
             raise ValueError("degree >= 1 required for root finding")
         c = np.array(self.coeffs)
-        taylor = _poly_taylor(c)
-        z, _, _ = _resolve_multiple(aberth_roots(c), taylor)
-        roots = RootSet.from_points(z)
-        pts = roots.as_array()
-        t, b = taylor(pts, 0)
-        if not np.all(np.abs(t[0]) <= b[0]):
-            worst = int(np.argmax(np.abs(t[0]) / b[0]))
-            raise RootFindingError(
-                f"root {pts[worst]:.6g} does not meet its backward-error bound {b[0, worst]:.3e}",
-                pts,
-                float(abs(t[0, worst])),
-            )
+        (roots,) = _certify(c[None], aberth_roots(c)[None])
+        if isinstance(roots, RootFindingError):
+            raise roots
         return roots
 
+
+def _certify(c: np.ndarray, z: np.ndarray) -> list:
+    """The RootSet of each row of a stack of coefficients c (k, n + 1) from
+    its Aberth iterates z (k, n), or the RootFindingError to raise for it.
+
+    The shaky-point screen, the lex sort and the backward-error check run
+    over the stack; _resolve_multiple runs only on the rows with two or
+    more shaky points, which are the only rows it can change.
+    """
+    taylor = _poly_taylor(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t, b = taylor(z, 1)
+        resolve = np.flatnonzero(_shaky(z, t, b).sum(axis=-1) > 1)
+    z = z.copy()
+    for r in resolve:
+        z[r] = _resolve_multiple(z[r], _poly_taylor(c[r]))[0]
+    z = np.take_along_axis(z, _lex_argsort(z), axis=-1)
+    t, b = taylor(z, 0)
+    held = np.all(np.abs(t[0]) <= b[0], axis=-1)
+    out = []
+    for r, pts in enumerate(z):
+        if held[r]:
+            out.append(RootSet(tuple(pts)))
+            continue
+        worst = int(np.argmax(np.abs(t[0, r]) / b[0, r]))
+        out.append(RootFindingError(
+            f"root {pts[worst]:.6g} does not meet its backward-error bound {b[0, r, worst]:.3e}",
+            pts,
+            float(abs(t[0, r, worst])),
+        ))
+    return out
+
+
+def find_roots_batch(polys) -> None:
+    """Certify the roots of many polynomials at once and keep each RootSet
+    in its polynomial's memo, where find_roots() returns it.
+
+    The polynomials of one degree go through aberth_roots and the
+    certificate of find_roots as one stack, in blocks of about
+    _BLOCK_ENTRIES (point, point) pairs, and each gets bit for bit the
+    RootSet its own find_roots() computes.  A polynomial whose roots fail
+    the certificate keeps no memo, so its own find_roots() raises; those
+    of degree 0 and those already memoized are skipped.
+    """
+    by_degree: dict[int, list[Polynomial]] = {}
+    for p in polys:
+        if p.degree >= 1 and "_roots" not in p.__dict__:
+            by_degree.setdefault(p.degree, []).append(p)
+    for n, todo in by_degree.items():
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        for s in range(0, len(todo), step):
+            block = todo[s : s + step]
+            c = np.array([p.coeffs for p in block])
+            for p, roots in zip(block, _certify(c, aberth_roots(c))):
+                if isinstance(roots, RootSet):
+                    p.__dict__["_roots"] = roots

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, majorization, metrics, normal_ops, variation_first, variation_second
-from .poly import Polynomial, disk_points
+from .poly import _BLOCK_ENTRIES, Polynomial, disk_points, find_roots_batch
 
 SEED = 20240613
 
@@ -37,41 +37,49 @@ class Check:
         return f"{status}  {self.name}: value {self.value:.3e} vs tolerance {self.tolerance:.3e}{extra}"
 
 
-def _rotated(n: int, theta: float) -> Polynomial:
-    coeffs = [0j] * (n + 1)
-    coeffs[n] = 1.0
-    coeffs[1] = np.exp(1j * theta)
-    return Polynomial(tuple(coeffs))
+def _rotated_family() -> list[Polynomial]:
+    """z^n + e^{i theta} z for n = 3..12, theta in {0, 1, pi}, in that order."""
+    family = []
+    for n in range(3, 13):
+        for theta in (0.0, 1.0, math.pi):
+            coeffs = [0j] * (n + 1)
+            coeffs[n] = 1.0
+            coeffs[1] = np.exp(1j * theta)
+            family.append(Polynomial(tuple(coeffs)))
+    return family
 
 
 def criterion_01_critical_radius() -> list[Check]:
-    """|z^n + e^{i theta} z|_0 = n^{-1/(n-1)} for n = 3..12, theta in {0, 1, pi}."""
+    """|z^n + e^{i theta} z|_0 = n^{-1/(n-1)} for n = 3..12, theta in {0, 1, pi};
+    the critical points are found per degree as one stack."""
+    family = _rotated_family()
+    find_roots_batch([p.derivative() for p in family])
     worst = 0.0
-    for n in range(3, 13):
-        target = n ** (-1.0 / (n - 1))
-        for theta in (0.0, 1.0, math.pi):
-            cc = metrics.alpha_distance(_rotated(n, theta), 0.0)
-            worst = max(worst, abs(cc.radius - target))
+    for p in family:
+        n = p.degree
+        cc = metrics.alpha_distance(p, 0.0)
+        worst = max(worst, abs(cc.radius - n ** (-1.0 / (n - 1))))
     return [Check("critical-radius-law", worst <= 1e-10, worst, 1e-10)]
 
 
 def criterion_02_inextensibility() -> list[Check]:
     """B(z^n + e^{i theta} z) at 0 positively singular; uniform mu certified
-    by vanishing column sums."""
+    by vanishing column sums.  Zeros and critical points are found per
+    degree as one stack."""
     worst_colsum = 0.0
     bad_verdicts = 0
     worst_cert = 0.0
-    for n in range(3, 13):
-        for theta in (0.0, 1.0, math.pi):
-            p = _rotated(n, theta)
-            s = variation_first.setup(p, 0.0)
-            B = variation_first.bmatrix(s)
-            worst_colsum = max(worst_colsum, float(np.abs(B.sum(axis=0)).max()))
-            cert = lp.strict_feasibility(B)
-            if cert.verdict is not lp.Verdict.POSITIVELY_SINGULAR:
-                bad_verdicts += 1
-            else:
-                worst_cert = max(worst_cert, cert.margin)
+    family = _rotated_family()
+    find_roots_batch(family + [p.derivative() for p in family])
+    for p in family:
+        s = variation_first.setup(p, 0.0)
+        B = variation_first.bmatrix(s)
+        worst_colsum = max(worst_colsum, float(np.abs(B.sum(axis=0)).max()))
+        cert = lp.strict_feasibility(B)
+        if cert.verdict is not lp.Verdict.POSITIVELY_SINGULAR:
+            bad_verdicts += 1
+        else:
+            worst_cert = max(worst_cert, cert.margin)
     return [
         Check("inextensibility-verdicts", bad_verdicts == 0, float(bad_verdicts), 0.0),
         Check("uniform-mu-column-sums", worst_colsum <= 1e-9, worst_colsum, 1e-9),
@@ -129,10 +137,13 @@ def criterion_04_second_order_fit() -> list[Check]:
 
 
 def criterion_05_lemma_family() -> list[Check]:
-    """d((z - it)(z^2 - 1)) = sqrt((1 + t^2)/3) across t in [0, 0.3]."""
+    """d((z - it)(z^2 - 1)) = sqrt((1 + t^2)/3) across t in [0, 0.3]; the
+    zeros and the critical points are found as one stack each."""
+    ts = np.linspace(0.0, 0.3, 50)
+    family = [Polynomial.from_roots([1j * t, 1.0, -1.0]) for t in ts]
+    find_roots_batch(family + [p.derivative() for p in family])
     worst = 0.0
-    for t in np.linspace(0.0, 0.3, 50):
-        p = Polynomial.from_roots([1j * t, 1.0, -1.0])
+    for t, p in zip(ts, family):
         d, _ = metrics.directed_hausdorff(p)
         worst = max(worst, abs(d - math.sqrt((1.0 + t * t) / 3.0)))
     return [Check("tilted-cubic-family", worst <= 1e-10, worst, 1e-10)]
@@ -177,21 +188,35 @@ def criterion_06_perturbation_bounds() -> list[Check]:
     ]
 
 
+def _differentiator_deviation(roots: np.ndarray) -> float:
+    """max |char(A_[i]) - (-1)^{n-1} p'/n| over the root sets (k, n), with
+    A their Fourier normal matrices (one stack) and every deletion index i:
+    one char_poly call on the stack (k, n, n - 1, n - 1) of all the
+    principal submatrices."""
+    n = roots.shape[1]
+    dp = np.array([Polynomial.from_roots(r).derivative().coeffs for r in roots])
+    target = dp * (-1.0) ** (n - 1) / n
+    As = normal_ops.normal_from_roots(roots)
+    keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # row i: all but i
+    got = normal_ops.char_poly(As[:, keep[:, :, None], keep[:, None, :]])
+    return float(np.abs(got - target[:, None]).max())
+
+
 def criterion_07_differentiator() -> list[Check]:
     """char(A_[i]) = (-1)^{n-1} p'/n coefficientwise, 100 seeded root sets
-    per degree, every deletion index: one char_poly call per A on the stack
-    of its n principal submatrices."""
+    per degree n = 2..10, every deletion index.  The 100 root sets of a
+    degree are one disk_points draw, which gives the points and generator
+    state of 100 draws of n.  They go through in blocks of about
+    _BLOCK_ENTRIES submatrix entries, one char_poly call per block, so its
+    temporaries stay as small as the other stacks' and peak memory does
+    not grow (one 1.3 MB stack at n = 10 raised the desk's peak RSS)."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for n in range(2, 11):
-        keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # row i: all but i
-        for _ in range(100):
-            roots = disk_points(rng, n)
-            p = Polynomial.from_roots(roots)
-            target = np.array(p.derivative().coeffs) * (-1.0) ** (n - 1) / n
-            A = normal_ops.normal_from_roots(roots)
-            got = normal_ops.char_poly(A.entries[keep[:, :, None], keep[:, None, :]])
-            worst = max(worst, float(np.abs(got - target).max()))
+        roots = disk_points(rng, 100 * n).reshape(100, n)
+        step = max(1, _BLOCK_ENTRIES // (n * (n - 1) ** 2))
+        for s in range(0, 100, step):
+            worst = max(worst, _differentiator_deviation(roots[s : s + step]))
     return [Check("differentiator-identity", worst <= 1e-9, worst, 1e-9)]
 
 
@@ -199,11 +224,13 @@ def criterion_07_differentiator() -> list[Check]:
 def _svar_corpus() -> list[tuple[np.ndarray, np.ndarray]]:
     """Per degree n = 2..8, 500 seeded root sets (500, n) and the
     submatrix spectra (500, n - 1) of their Fourier normal matrices
-    U* diag(roots) U with row/column 0 deleted, one stack per degree."""
+    U* diag(roots) U with row/column 0 deleted, one stack per degree.  The
+    root sets of a degree are one disk_points draw, which gives the points
+    and generator state of 500 draws of n."""
     rng = np.random.default_rng(SEED + 1)
     out = []
     for n in range(2, 9):
-        roots = np.array([disk_points(rng, n) for _ in range(500)])
+        roots = disk_points(rng, 500 * n).reshape(500, n)
         U = normal_ops.dft_unitary(n)
         D = np.zeros((len(roots), n, n), dtype=complex)
         D[:, range(n), range(n)] = roots
@@ -272,18 +299,33 @@ def criterion_10_interlacing() -> list[Check]:
     ]
 
 
+def _majorization_corpus() -> list[tuple[Polynomial, np.ndarray]]:
+    """100 seeded polynomials of degree n = 2..6, each with its centers
+    alpha (n - 1, 10), ten per k = 1..n - 1, their zeros and critical
+    points found per degree as one stack.  Draw order, polynomial by
+    polynomial: n, the n zeros (disk_points), then the centers, each
+    alpha = complex(*uniform(-1, 1, 2)) in (k, alpha) order."""
+    rng = np.random.default_rng(SEED + 3)
+    corpus = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        p = Polynomial.from_roots(disk_points(rng, n))
+        corpus.append((p, rng.uniform(-1.0, 1.0, (n - 1, 10, 2)).view(complex)[..., 0]))
+    polys = [p for p, _ in corpus]
+    find_roots_batch(polys + [p.derivative() for p in polys])
+    return corpus
+
+
 def criterion_11_majorization() -> list[Check]:
     """Majorization certificates for every k on 100 seeded polynomials of
-    degree <= 6, plus the symmetric-mean identity at random centers."""
-    rng = np.random.default_rng(SEED + 3)
+    degree <= 6, plus the symmetric-mean identity at ten random centers
+    per k (see _majorization_corpus for the draw order)."""
     infeasible = 0
     held = True
     worst_res = 0.0
     worst_id = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        p = Polynomial.from_roots(disk_points(rng, n))
-        for k in range(1, n):
+    for p, alphas in _majorization_corpus():
+        for k in range(1, p.degree):
             W = majorization.tuple_W(p, 0.0, k)
             Z = majorization.tuple_Z(p, 0.0, k)
             cert = majorization.check_majorization(W, Z)
@@ -292,8 +334,7 @@ def criterion_11_majorization() -> list[Check]:
                 continue
             held &= cert.holds
             worst_res = max(worst_res, cert.residual)
-            for _ in range(10):
-                alpha = complex(*rng.uniform(-1.0, 1.0, 2))
+            for alpha in alphas[k - 1]:
                 worst_id = max(worst_id, majorization.symmetric_mean_identity(p, alpha, k))
     return [
         Check("majorization-feasible", infeasible == 0, float(infeasible), 0.0),
@@ -303,24 +344,28 @@ def criterion_11_majorization() -> list[Check]:
 
 
 def criterion_12_duality_exclusivity() -> list[Check]:
-    """Exactly one of the strict and singular systems is feasible on 1000
-    seeded matrices outside the rejection band |t*| <= 1e-7: the sign of
-    the box optimum t* (LSPD) against strict_feasibility's verdict (one
-    NNLS on the singular system)."""
+    """Exactly one of the strict and singular systems is feasible: the box
+    optimum t* >= 0 (LSPD) against strict_feasibility's verdict (one NNLS
+    on the singular system), on seeded matrices drawn until 1000 have
+    t* > 1e-7, which must be strictly feasible.  The draws with
+    t* <= 1e-12 max|M_ij|, zero to rounding, must be positively singular;
+    those in between are the rejection band."""
     rng = np.random.default_rng(SEED + 4)
     violations = 0
-    drawn = 0
-    while drawn < 1000:
+    strict = 0
+    while strict < 1000:
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 11))
         M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         t_star = lp.strict_optimum(M)
-        if abs(t_star) <= 1e-7:
+        if t_star > 1e-7:
+            strict += 1
+            expected = lp.Verdict.STRICTLY_FEASIBLE
+        elif t_star <= 1e-12 * float(np.abs(M).max()):
+            expected = lp.Verdict.POSITIVELY_SINGULAR
+        else:
             continue  # rejection band
-        drawn += 1
-        strict_ok = t_star > 1e-7
-        singular_ok = lp.strict_feasibility(M).verdict is lp.Verdict.POSITIVELY_SINGULAR
-        if strict_ok == singular_ok:
+        if lp.strict_feasibility(M).verdict is not expected:
             violations += 1
     return [Check("duality-exclusivity", violations == 0, float(violations), 0.0)]
 

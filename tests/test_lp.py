@@ -1,5 +1,6 @@
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -506,17 +507,31 @@ class TestEmptyNNLS:
 
 class TestDualityExclusivity:
     def test_random_matrices_xor(self, rng):
-        checked = 0
-        while checked < 150:
+        # t* >= 0 (h = 0 is feasible): above 1e-7 strict, at 0 to rounding
+        # singular, in between the rejection band
+        strict = singular = 0
+        while strict < 150:
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
             M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
             t_star = strict_optimum(M)
-            if abs(t_star) <= 1e-7:
-                continue
-            checked += 1
-            strict = t_star > 1e-7
-            singular = strict_feasibility(M).verdict is Verdict.POSITIVELY_SINGULAR
-            assert strict != singular
+            assert t_star >= 0.0
+            if t_star > 1e-7:
+                strict += 1
+                assert strict_feasibility(M).verdict is Verdict.STRICTLY_FEASIBLE
+            elif t_star <= 1e-12 * float(np.abs(M).max()):
+                singular += 1
+                assert strict_feasibility(M).verdict is Verdict.POSITIVELY_SINGULAR
+        assert singular > 0
+
+    @pytest.mark.parametrize(
+        "verdict, violations", [(Verdict.STRICTLY_FEASIBLE, 59), (Verdict.POSITIVELY_SINGULAR, 1000)]
+    )
+    def test_criterion_12_judges_both_sides(self, monkeypatch, verdict, violations):
+        # of c12's 1,059 draws, 1,000 have t* > 1e-7 and 59 have t* = 0:
+        # a verdict that never changes is wrong on one side or the other
+        monkeypatch.setattr(lp, "strict_feasibility", lambda M: SimpleNamespace(verdict=verdict))
+        (check,) = suite.criterion_12_duality_exclusivity()
+        assert (check.passed, check.value) == (False, violations)
 
     def test_engineered_singular_instances(self, rng):
         for M in _engineered_singular(rng, 40):

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from polycrit.poly import Polynomial
-from polycrit import majorization as mj
+from polycrit import majorization as mj, poly, suite
 
 from conftest import disk_points
 
@@ -212,6 +212,16 @@ class TestSymmetricMeanIdentity:
                     alpha = complex(*rng.uniform(-1, 1, 2))
                     assert mj.symmetric_mean_identity(p, alpha, k) <= 1e-9
 
+    def test_equals_the_means_of_the_tuples(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            p = Polynomial.from_roots(disk_points(rng, n))
+            for k in range(1, n):
+                alpha = complex(*rng.uniform(-1, 1, 2))
+                W, Z = mj.tuple_W(p, alpha, k), mj.tuple_Z(p, alpha, k)
+                ref = abs(complex(np.mean(np.asarray(W.values))) - complex(np.mean(np.asarray(Z.values))))
+                assert mj.symmetric_mean_identity(p, alpha, k) == ref
+
     def test_corrupted_critical_set_breaks_identity(self, rng):
         # moving one critical point by 0.1 shifts the first-order mean by
         # 0.1/(n-1), far above the identity tolerance
@@ -231,3 +241,20 @@ class TestSymmetricMeanIdentity:
             expect = (-1.0) ** (n - 1) * p.derivative()(0.0) / n
             assert abs(prod_w - expect) <= 1e-10
             assert mj.symmetric_mean_identity(p, 0.0, n - 1) <= 1e-9
+
+
+def test_criterion_11_corpus_is_the_per_polynomial_draw():
+    """Criterion 11's corpus, found by degree in stacks, against the draw
+    loop it replaced: per polynomial n, its zeros, then ten centers per k
+    as complex(*uniform(-1, 1, 2)), with find_roots per polynomial."""
+    rng = np.random.default_rng(suite.SEED + 3)
+    corpus = suite._majorization_corpus()
+    assert len(corpus) == 100
+    for p, alphas in corpus:
+        n = int(rng.integers(2, 7))
+        q = Polynomial.from_roots(poly.disk_points(rng, n))
+        ref = [[complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(10)] for _ in range(1, n)]
+        assert p.coeffs == q.coeffs
+        assert alphas.tobytes() == np.array(ref).tobytes()
+        for a, b in ((p, q), (p.derivative(), q.derivative())):
+            assert np.array(a.find_roots().points).tobytes() == np.array(b.find_roots().points).tobytes()

@@ -53,6 +53,15 @@ class TestDiskPoints:
         assert pts.tobytes() == reference_disk_points(ref, n).astype(complex).tobytes()
         assert got.uniform(size=4).tobytes() == ref.uniform(size=4).tobytes()
 
+    @pytest.mark.parametrize("k, n", [(100, 2), (500, 8), (3, 64), (7, 1)])
+    def test_one_draw_of_k_sets(self, k, n):
+        # a call stops at its n-th accepted candidate, so k calls of n take
+        # the same candidates as one call of k n
+        one, many = np.random.default_rng(k * n), np.random.default_rng(k * n)
+        pts = poly.disk_points(one, k * n)
+        assert pts.tobytes() == np.concatenate([poly.disk_points(many, n) for _ in range(k)]).tobytes()
+        assert one.uniform(size=4).tobytes() == many.uniform(size=4).tobytes()
+
 
 class TestFromRoots:
     def test_difference_of_squares(self):
@@ -319,6 +328,117 @@ class TestCertificate:
         monkeypatch.setattr(poly, "aberth_roots", lambda c: np.array([0.3 + 5e-7, 0.3 + 5e-7, -0.5j]))
         with pytest.raises(RootFindingError):
             p.find_roots()
+
+
+class TestStackedRoots:
+    """aberth_roots over a stack (k, n + 1) of one degree and
+    find_roots_batch give each row bit for bit what a run on that row alone
+    gives; find_roots is the stack of one."""
+
+    @staticmethod
+    def _alone(c):
+        return np.array([poly.aberth_roots(row) for row in c])
+
+    @staticmethod
+    def _steps(monkeypatch, row):
+        """Aberth steps on one row, and the smallest |p'| at its iterates."""
+        seen = []
+        build = poly._poly_taylor
+
+        def counted(c):
+            taylor = build(c)
+
+            def evaluate(x, k):
+                t, b = taylor(x, k)
+                seen.append(float(np.abs(t[1]).min()))
+                return t, b
+
+            return evaluate
+
+        with monkeypatch.context() as m:
+            m.setattr(poly, "_poly_taylor", counted)
+            poly.aberth_roots(row)
+        return len(seen), min(seen)
+
+    def test_tilted_cubics(self):
+        # criterion 05's family
+        c = np.array([Polynomial.from_roots([1j * t, 1.0, -1.0]).coeffs for t in np.linspace(0.0, 0.3, 50)])
+        assert poly.aberth_roots(c).tobytes() == self._alone(c).tobytes()
+
+    def test_linear_rows(self):
+        c = np.array([[0.3 - 1j, 2.0], [1e-3, 1j + 0.5]])
+        assert poly.aberth_roots(c).tobytes() == self._alone(c).tobytes()
+        assert poly.aberth_roots(c).shape == (2, 1)
+
+    def _kinds(self):
+        rng = np.random.default_rng(29)
+        stuck = np.zeros(17, dtype=complex)
+        stuck[[0, 16]] = 1e-300, 1.0  # z^16 + 1e-300: p' underflows near its roots
+        return np.array([
+            Polynomial.from_roots(disk_points(rng, 16)).coeffs,
+            Polynomial.from_roots(np.r_[disk_points(rng, 14), 0.3, 0.3]).coeffs,  # a double root
+            stuck,
+            Polynomial.from_roots(0.5 + 1e-2 * disk_points(rng, 16)).coeffs,  # a cluster
+        ])
+
+    def test_rows_that_stop_apart(self, monkeypatch):
+        c = self._kinds()
+        assert poly.aberth_roots(c).tobytes() == self._alone(c).tobytes()
+        steps, smallest = zip(*(self._steps(monkeypatch, row) for row in c))
+        assert len(set(steps)) == len(steps)  # every row stops at its own step
+        assert steps[2] == poly.ABERTH_MAX_ITER and smallest[2] < 1e-280  # the nudge, then the cap
+        assert min(smallest[:2] + smallest[3:]) >= 1e-280
+
+    def test_step_cap_per_row(self, monkeypatch):
+        c = self._kinds()
+        steps = sorted(self._steps(monkeypatch, row)[0] for row in c)
+        monkeypatch.setattr(poly, "ABERTH_MAX_ITER", steps[1] + 1)  # one row finishes, three hit the cap
+        assert poly.aberth_roots(c).tobytes() == self._alone(c).tobytes()
+
+    def test_batch_memo_is_find_roots(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        polys = [Polynomial.from_roots(disk_points(rng, 16)) for _ in range(40)]  # more than one block
+        polys += [Polynomial.from_roots([1j * t, 1.0, -1.0]) for t in np.linspace(0.0, 0.3, 50)]
+        polys += [Polynomial.from_roots(np.r_[disk_points(rng, 4), 0.3, 0.3]) for _ in range(5)]
+        polys += [p.derivative() for p in polys] + [Polynomial((2.0,))]
+        fresh = [Polynomial(p.coeffs) for p in polys]
+        poly.find_roots_batch(polys)
+
+        def no_aberth(c):
+            raise AssertionError("roots not memoized")
+
+        monkeypatch.setattr(poly, "aberth_roots", no_aberth)
+        batch = [np.array(p.find_roots().points) for p in polys[:-1]]
+        monkeypatch.undo()
+        for got, q in zip(batch, fresh):
+            assert got.tobytes() == np.array(q.find_roots().points).tobytes()
+        with pytest.raises(ValueError, match="degree >= 1"):
+            polys[-1].find_roots()
+
+    def test_failing_row_raises_again_alone(self, monkeypatch):
+        good = [Polynomial.from_roots(r) for r in ([0.2, 0.7j, -0.9], [0.1 + 0.1j, -0.4, 0.6])]
+        bad = Polynomial.from_roots([0.4, -0.5, 0.1j])
+        aberth = poly.aberth_roots
+
+        def off_bad_roots(c):
+            is_bad = np.all(np.asarray(c) == np.array(bad.coeffs), axis=-1)
+            return aberth(c) + 1e-6 * np.asarray(is_bad)[..., None]
+
+        monkeypatch.setattr(poly, "aberth_roots", off_bad_roots)
+        poly.find_roots_batch([good[0], bad, good[1]])
+        with pytest.raises(RootFindingError, match="backward-error bound"):
+            bad.find_roots()
+
+        def no_aberth(c):
+            raise AssertionError("aberth_roots called")
+
+        monkeypatch.setattr(poly, "aberth_roots", no_aberth)
+        cached = [np.array(p.find_roots().points) for p in good]
+        with pytest.raises(AssertionError, match="aberth_roots called"):
+            bad.find_roots()
+        monkeypatch.undo()
+        for got, p in zip(cached, good):
+            assert got.tobytes() == np.array(Polynomial(p.coeffs).find_roots().points).tobytes()
 
 
 class TestBackwardContract:
