@@ -86,10 +86,11 @@ def _horner(coeffs_ascending: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma(n: int, k: int) -> float:
+def _gamma(n: int, k):
     """Rounding factor of the k-th Taylor coefficient of a degree-n
     polynomial or of a sum over n poles (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 5.1, with room for the Taylor weights)."""
+    of Numerical Algorithms, sec. 5.1, with room for the Taylor weights);
+    elementwise for an array of orders k."""
     return 4.0 * (n + 2 * k + 4) * _EPS
 
 
