@@ -280,17 +280,12 @@ def _finite_matrix(M, stage: str) -> np.ndarray:
     return M
 
 
-def _realified(M: np.ndarray) -> np.ndarray:
-    """Re(M h) as a real matrix acting on (Re h, Im h)."""
-    return np.hstack([M.real, -M.imag])
-
-
 def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimum of max t s.t. Re(M h) >= t, |Re h_i|, |Im h_i| <= 1.
 
     Returns (t*, h*); t* > 0 exactly when the strict system is solvable.
-    By LP duality t* = min over the simplex of ||G^T mu||_1 (G = M
-    realified), that is
+    By LP duality t* = min over the simplex of ||G^T mu||_1 (G = [Re M,
+    -Im M], so that Re(M h) = G (Re h, Im h)), that is
 
         min 1^T (p + q)  s.t.  G^T mu - p + q = 0,  1^T mu = 1,  (mu, p, q) >= 0,
 
@@ -301,7 +296,7 @@ def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
     size = float(np.abs(M).max()) or 1.0
     n2 = 2 * n
     A = np.zeros((n2 + 1, m + 2 * n2))
-    A[:n2, :m] = _realified(M).T / size
+    A[:n2, :m] = np.hstack([M.real, -M.imag]).T / size
     A[n2, :m] = 1.0
     A[:n2, m : m + n2] = -np.eye(n2)
     A[:n2, m + n2 :] = np.eye(n2)

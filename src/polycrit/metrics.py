@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, sort_lex
+from .poly import Polynomial
 
 ON_CIRCLE_TOL = 1e-9
 
@@ -49,7 +49,7 @@ def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     """
     if p.degree < 2:
         raise ValueError("directed_hausdorff needs degree >= 2")
-    zeros = sort_lex(p.find_roots().points)
+    zeros = p.find_roots().points  # lex-sorted by the certifier
     crit = p.derivative().find_roots().as_array()
     best_val = -1.0
     worst = zeros[0]
@@ -58,7 +58,7 @@ def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
         if m > best_val * (1 + 1e-12):
             best_val = m
             worst = z
-    return best_val, worst
+    return best_val, complex(worst)
 
 
 def bottleneck_assignment(a, b) -> tuple[float, list[int]]:

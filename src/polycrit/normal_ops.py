@@ -114,15 +114,12 @@ def random_normal(roots, seed: int) -> NormalMatrix:
     r = np.asarray(roots, dtype=complex)
     if len(r) < 2:
         raise ValueError("need at least two eigenvalues")
-    for attempt in range(2):
-        rng = np.random.default_rng(seed + attempt)
-        G = rng.standard_normal((len(r), len(r))) + 1j * rng.standard_normal((len(r), len(r)))
-        Q, R = np.linalg.qr(G)
-        d = np.diagonal(R)
-        if np.all(np.abs(d) > 1e-12):
-            V = Q * (d / np.abs(d))
-            return as_normal(V @ np.diag(r) @ V.conj().T)
-    raise RuntimeError("orthonormalization breakdown twice in a row")
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((len(r), len(r))) + 1j * rng.standard_normal((len(r), len(r)))
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R)
+    V = Q * (d / np.abs(d))
+    return as_normal(V @ np.diag(r) @ V.conj().T)
 
 
 def char_poly(M):
@@ -280,12 +277,11 @@ def _attached_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     They start as LAPACK eigenvalues of diag(mu) compressed to the
     complement of sqrt(W), whose characteristic polynomial is the
-    numerator of f.  Starts that stalled around a multiple zero are
-    merged by poly._resolve_multiple, the resolver find_roots uses, run
-    only on the rows where the stacked screen finds two such starts; those
-    merges are final.  Every other start is polished by poly._newton on f
-    over the stack, the merged points held fixed, until each point of its
-    row meets the budget of f, or raises CompressionSpectrumError.
+    numerator of f.  One evaluation of _pf at the starts feeds
+    poly._resolve_rows, the resolver find_roots uses, whose merges are
+    final, and the first step of poly._newton, which polishes every other
+    start on f over the stack until each point of its row meets the
+    budget of f, or raises CompressionSpectrumError.
     """
     g, K = mu.shape
     if K < 2:
@@ -296,10 +292,7 @@ def _attached_zeros(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
     z = np.linalg.eigvals((Q.transpose(0, 2, 1) * mu[:, None, :]) @ Q).astype(complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t, b = _pf(mu, W, z, 1)
-        shaky = poly._shaky(z, t, b).sum(axis=1) > 1
-    merged = np.zeros(z.shape, dtype=bool)
-    for r in shaky.nonzero()[0]:
-        z[r], merged[r], _ = poly._resolve_multiple(z[r], partial(_pf, mu[r], W[r]))
+    z, merged = poly._resolve_rows(z, t, b, lambda r: partial(_pf, mu[r], W[r]))
     return _polish(mu, W, z, merged, t, b)
 
 
@@ -356,8 +349,8 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     Householder compression, np.linalg.eigvals, the partial-fraction
     Taylor values and the Newton polish, poly._newton row by row;
     poly._resolve_multiple runs only on the rows with shaky starts.  The
-    stack goes through in blocks of about poly._BLOCK_ENTRIES matrix entries,
-    which bounds the temporaries.
+    stack goes through in the blocks of poly._blocks, about
+    poly._BLOCK_ENTRIES matrix entries each, which bounds the temporaries.
     Raises ValueError on a non-normal or non-finite matrix, and
     CompressionSpectrumError as compression_spectrum does.
     """
@@ -369,11 +362,9 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     i = np.broadcast_to(i, k)
     full = np.empty((k, n), dtype=complex)
     sub = np.empty((k, n - 1), dtype=complex)
-    step = max(1, poly._BLOCK_ENTRIES // (n * n))
-    for s in range(0, k, step):
-        block = As[s : s + step]
-        _normality_residuals(block)
-        full[s : s + step], sub[s : s + step] = _compress(*_orthonormal_eigenbasis(block), i[s : s + step])
+    for s in poly._blocks(k, n * n):
+        _normality_residuals(As[s])
+        full[s], sub[s] = _compress(*_orthonormal_eigenbasis(As[s]), i[s])
     return full, sub
 
 
@@ -464,15 +455,18 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
 
     plus the max residual of the identity over the probe points.  Weights
     are nonnegative and sum to 1 (row of a unitary), which places every
-    submatrix eigenvalue in the convex hull of the parent spectrum.
+    submatrix eigenvalue in the convex hull of the parent spectrum.  A
+    probe that is not finite or lies near the spectrum raises ValueError.
     """
     _check_index("gauss_lucas_weights", A.n, i)
     eigvals, Z = A._eigenbasis
     weights = np.abs(Z[i, :]) ** 2
     sub = principal_submatrix(A.entries, i)
     n = A.n
+    probes = np.asarray(probes, dtype=complex)
+    poly._check_finite("probe", probes)
     worst = 0.0
-    for z in np.asarray(probes, dtype=complex):
+    for z in probes:
         if np.abs(eigvals - z).min() < 1e-3 * _spectral_scale(eigvals):
             raise ValueError(f"probe {z:.6g} too close to the spectrum (within 1e-3 ||A||_2)")
         ratio = np.linalg.det(sub - z * np.eye(n - 1)) / np.linalg.det(

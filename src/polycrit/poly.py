@@ -33,15 +33,16 @@ class RootFindingError(RuntimeError):
         self.residual = residual
 
 
-def sort_lex(points) -> list[complex]:
-    """Deterministic ordering by (re, im); ties in re broken by im."""
-    z = np.array([complex(p) for p in points], dtype=complex)
-    return z[_lex_argsort(z)].tolist()
-
-
 def _lex_argsort(z: np.ndarray) -> np.ndarray:
     """Indices that sort each row of z (..., J) by (re, im), stably: the RootSet order."""
     return np.lexsort((z.imag, z.real), axis=-1)
+
+
+def _blocks(count: int, entries: int) -> list[slice]:
+    """Slices of range(count) in blocks of about _BLOCK_ENTRIES entries, each
+    item holding the given number of entries; one item at least per block."""
+    step = max(1, _BLOCK_ENTRIES // entries)
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 def disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -182,14 +183,14 @@ def _expand_roots(points) -> np.ndarray:
 
 def _poly_taylor(coeffs: np.ndarray):
     """Taylor callback of a polynomial, or of each row of a stack (k, n + 1)
-    of one degree at points x (k, J): orders 0..k of t_j(x) = p^(j)(x) / j!
-    = sum_i R[j, i] x^i on the rows R[j, i] = C(i+j, j) c_(i+j), zero above
-    degree n - j, and their budgets gamma_j * sum_i |R[j, i]| |x|^i + tiny,
-    each (k + 1,) + x.shape.  One Horner pass over the columns of R and |R|
-    gives every order and budget, bit for bit the per-order values: at
-    finite x the padding adds 0 x + 0 = 0, and complex arithmetic on real |R|
-    and |x| rounds as real.  The pass is elementwise, so a row of a stack
-    gets the values of its own callback."""
+    of one degree at points x (k, J): orders 0..k <= n of t_j(x) = p^(j)(x)
+    / j! = sum_i R[j, i] x^i on the rows R[j, i] = C(i+j, j) c_(i+j), zero
+    above degree n - j, and their budgets gamma_j * sum_i |R[j, i]| |x|^i +
+    tiny, each (k + 1,) + x.shape.  One Horner pass over the columns of R
+    and |R| gives every order and budget, bit for bit the per-order values:
+    at finite x the padding adds 0 x + 0 = 0, and complex arithmetic on
+    real |R| and |x| rounds as real.  The pass is elementwise, so a row of
+    a stack gets the values of its own callback."""
     n = coeffs.shape[-1] - 1
     R = np.zeros(coeffs.shape[:-1] + (n + 1, n + 1), dtype=complex)
     for j in range(n + 1):
@@ -200,22 +201,15 @@ def _poly_taylor(coeffs: np.ndarray):
     gamma = _gamma(n, np.arange(n + 1.0)).reshape((n + 1,) + (1,) * coeffs.ndim)
 
     def taylor(x: np.ndarray, k: int):
-        r = min(k, n) + 1
         pts = np.empty((2, 1) + x.shape, dtype=complex)
         pts[0, 0] = x
         pts[1, 0] = np.abs(x)
-        out = np.empty((2, r) + x.shape, dtype=complex)
-        out[...] = cols[n, :, :r, ..., None]
-        for col in cols[-2::-1, :, :r, ..., None]:
+        out = np.empty((2, k + 1) + x.shape, dtype=complex)
+        out[...] = cols[n, :, : k + 1, ..., None]
+        for col in cols[-2::-1, :, : k + 1, ..., None]:
             out *= pts
             out += col
-        if r > k:
-            return out[0], gamma[:r] * out[1].real + _TINY
-        t = np.zeros((k + 1,) + x.shape, dtype=complex)
-        b = np.full((k + 1,) + x.shape, _TINY)
-        t[:r] = out[0]
-        b[:r] += gamma[:r] * out[1].real
-        return t, b
+        return out[0], gamma[: k + 1] * out[1].real + _TINY
 
     return taylor
 
@@ -277,27 +271,23 @@ def _shaky(z: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~(step <= _SHAKY * gaps.min(axis=-1))
 
 
-def _resolve_multiple(z: np.ndarray, taylor):
+def _resolve_multiple(z: np.ndarray, shaky: np.ndarray, taylor):
     """Merge the points of z that stalled around a multiple zero of f.
 
     taylor(x, k) returns t_j(x) = f^(j)(x) / j! for j = 0..k and their
-    backward-error budgets.  A point whose Newton step, at least the
-    rounding level max(|t_0|, budget_0) / |t_1|, is not small against its
-    gap to the other points may be part of a multiple zero.  Such points
-    are merged top-down along their single-linkage tree: an m-fold merge
-    is Newton on f^(m-1) from the centroid, accepted when t_0..t_(m-1) all
-    meet their budgets and the zero lies within the cloud's diameter (or
-    twice the m-fold Newton step at a collapsed cloud); one more Newton
-    step sets the merged point.  These merges are final: no caller moves
-    or merges a returned point again.  Returns the points, merged ones
-    exactly repeated, the mask of merged ones, and the screen's (t, b) =
-    taylor(z, 1) at the input points, which the unmerged ones still hold.
+    backward-error budgets.  shaky, the screen of _resolve_rows, masks the
+    points that may be part of a multiple zero; they are merged top-down
+    along their single-linkage tree: an m-fold merge is Newton on f^(m-1)
+    from the centroid, accepted when t_0..t_(m-1) all meet their budgets
+    and the zero lies within the cloud's diameter (or twice the m-fold
+    Newton step at a collapsed cloud); one more Newton step sets the merged
+    point.  These merges are final: no caller moves or merges a returned
+    point again.  Returns the points, merged ones exactly repeated, and
+    the mask of merged ones.
     """
     z = np.array(z, dtype=complex)
     done = np.zeros(len(z), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t, b = taylor(z, 1)
-        shaky = np.flatnonzero(_shaky(z, t, b))
+    shaky = np.flatnonzero(shaky)
 
     def merge(tree) -> None:
         idx = shaky[_leaves(tree)]
@@ -318,11 +308,25 @@ def _resolve_multiple(z: np.ndarray, taylor):
             merge(tree[0])
             merge(tree[1])
 
-    if len(shaky) > 1:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for tree in _single_linkage(z[shaky]):
-                merge(tree)
-    return z, done, (t, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for tree in _single_linkage(z[shaky]):
+            merge(tree)
+    return z, done
+
+
+def _resolve_rows(z: np.ndarray, t: np.ndarray, b: np.ndarray, row_taylor):
+    """_resolve_multiple over a stack of points z (k, J) with Taylor orders
+    0 and 1 and budgets t, b (2, k, J) there: _shaky screens the stack once,
+    and each row r with two or more shaky points, the only rows a merge can
+    change, is resolved with the callback row_taylor(r).  Returns
+    _resolve_multiple's points and merged mask, each (k, J)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shaky = _shaky(z, t, b)
+    z = z.copy()
+    merged = np.zeros(z.shape, dtype=bool)
+    for r in np.flatnonzero(shaky.sum(axis=-1) > 1):
+        z[r], merged[r] = _resolve_multiple(z[r], shaky[r], row_taylor(r))
+    return z, merged
 
 
 @dataclass(frozen=True)
@@ -333,13 +337,6 @@ class RootSet:
 
     points: tuple[complex, ...]
     cluster_tol: float = 1e-8
-
-    @classmethod
-    def from_points(cls, points) -> "RootSet":
-        """The points lex-sorted and otherwise unchanged: multiplicity is
-        decided by _resolve_multiple alone."""
-        z = np.asarray(points, dtype=complex)
-        return cls(tuple(z[_lex_argsort(z)]))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -467,17 +464,14 @@ def _certify(c: np.ndarray, z: np.ndarray) -> list:
     """The RootSet of each row of a stack of coefficients c (k, n + 1) from
     its Aberth iterates z (k, n), or the RootFindingError to raise for it.
 
-    The shaky-point screen, the lex sort and the backward-error check run
-    over the stack; _resolve_multiple runs only on the rows with two or
-    more shaky points, which are the only rows it can change.
+    One evaluation of orders 0 and 1 at z feeds _resolve_rows, which
+    merges multiple roots; then one lex sort (_lex_argsort, the only
+    RootSet order) and the backward-error check run over the stack.
     """
     taylor = _poly_taylor(c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t, b = taylor(z, 1)
-        resolve = np.flatnonzero(_shaky(z, t, b).sum(axis=-1) > 1)
-    z = z.copy()
-    for r in resolve:
-        z[r] = _resolve_multiple(z[r], _poly_taylor(c[r]))[0]
+    z, _ = _resolve_rows(z, t, b, lambda r: _poly_taylor(c[r]))
     z = np.take_along_axis(z, _lex_argsort(z), axis=-1)
     t, b = taylor(z, 0)
     held = np.all(np.abs(t[0]) <= b[0], axis=-1)
@@ -511,9 +505,8 @@ def find_roots_batch(polys) -> None:
         if p.degree >= 1 and "_roots" not in p.__dict__:
             by_degree.setdefault(p.degree, []).append(p)
     for n, todo in by_degree.items():
-        step = max(1, _BLOCK_ENTRIES // (n * n))
-        for s in range(0, len(todo), step):
-            block = todo[s : s + step]
+        for s in _blocks(len(todo), n * n):
+            block = todo[s]
             c = np.array([p.coeffs for p in block])
             for p, roots in zip(block, _certify(c, aberth_roots(c))):
                 if isinstance(roots, RootSet):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, majorization, metrics, normal_ops, variation_first, variation_second
-from .poly import _BLOCK_ENTRIES, Polynomial, disk_points, find_roots_batch
+from .poly import Polynomial, _blocks, disk_points, find_roots_batch
 
 SEED = 20240613
 
@@ -37,8 +37,10 @@ class Check:
         return f"{status}  {self.name}: value {self.value:.3e} vs tolerance {self.tolerance:.3e}{extra}"
 
 
-def _rotated_family() -> list[Polynomial]:
-    """z^n + e^{i theta} z for n = 3..12, theta in {0, 1, pi}, in that order."""
+@functools.cache
+def _rotated_family() -> tuple[Polynomial, ...]:
+    """z^n + e^{i theta} z for n = 3..12, theta in {0, 1, pi}, in that order;
+    shared by criteria 01 and 02, so their roots are found once."""
     family = []
     for n in range(3, 13):
         for theta in (0.0, 1.0, math.pi):
@@ -46,7 +48,7 @@ def _rotated_family() -> list[Polynomial]:
             coeffs[n] = 1.0
             coeffs[1] = np.exp(1j * theta)
             family.append(Polynomial(tuple(coeffs)))
-    return family
+    return tuple(family)
 
 
 def criterion_01_critical_radius() -> list[Check]:
@@ -70,7 +72,7 @@ def criterion_02_inextensibility() -> list[Check]:
     bad_verdicts = 0
     worst_cert = 0.0
     family = _rotated_family()
-    find_roots_batch(family + [p.derivative() for p in family])
+    find_roots_batch([*family, *(p.derivative() for p in family)])
     for p in family:
         s = variation_first.setup(p, 0.0)
         B = variation_first.bmatrix(s)
@@ -206,17 +208,17 @@ def criterion_07_differentiator() -> list[Check]:
     """char(A_[i]) = (-1)^{n-1} p'/n coefficientwise, 100 seeded root sets
     per degree n = 2..10, every deletion index.  The 100 root sets of a
     degree are one disk_points draw, which gives the points and generator
-    state of 100 draws of n.  They go through in blocks of about
-    _BLOCK_ENTRIES submatrix entries, one char_poly call per block, so its
-    temporaries stay as small as the other stacks' and peak memory does
-    not grow (one 1.3 MB stack at n = 10 raised the desk's peak RSS)."""
+    state of 100 draws of n.  They go through in the blocks of
+    poly._blocks, about poly._BLOCK_ENTRIES submatrix entries each, one
+    char_poly call per block, so its temporaries stay as small as the
+    other stacks' and peak memory does not grow (one 1.3 MB stack at
+    n = 10 raised the desk's peak RSS)."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for n in range(2, 11):
         roots = disk_points(rng, 100 * n).reshape(100, n)
-        step = max(1, _BLOCK_ENTRIES // (n * (n - 1) ** 2))
-        for s in range(0, 100, step):
-            worst = max(worst, _differentiator_deviation(roots[s : s + step]))
+        for s in _blocks(100, n * (n - 1) ** 2):
+            worst = max(worst, _differentiator_deviation(roots[s]))
     return [Check("differentiator-identity", worst <= 1e-9, worst, 1e-9)]
 
 

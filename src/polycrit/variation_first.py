@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .lp import FeasibilityCertificate, strict_feasibility
 from .metrics import alpha_distance
-from .poly import Polynomial, sort_lex
+from .poly import Polynomial
 
 _GL_NODES, _GL_WEIGHTS = leggauss(32)
 
@@ -61,10 +61,9 @@ def setup(p: Polynomial, a: complex) -> VariationSetup:
     a = complex(a)
     if not p.vanishes_at(a):
         raise ValueError(f"a is not a zero of p: |p(a)| = {abs(p(a)):.3e}")
-    roots = list(p.find_roots().points)
+    roots = p.find_roots().points
     nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - a))
-    others = [z for i, z in enumerate(roots) if i != nearest]
-    zeros = (a, *sort_lex(others))
+    zeros = (a, *(z for i, z in enumerate(roots) if i != nearest))  # roots are lex-sorted
 
     crit = p.derivative().find_roots().points
     circle = alpha_distance(p, a)

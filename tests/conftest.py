@@ -43,6 +43,11 @@ def disk_points(rng, n, min_sep=0.0, max_mod=1.0):
             return arr
 
 
+def lex_sorted(points) -> list:
+    """Python's stable sort by (re, im): the oracle of the RootSet order."""
+    return sorted(points, key=lambda v: (v.real, v.imag))
+
+
 def roots_of_unity(n, radius=1.0, phase=0.0):
     return radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + phase))
 

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from polycrit import suite, variation_second
+from polycrit import poly, suite, variation_second
 
 R4 = 4.0 ** (-1.0 / 3.0)  # critical radius of z^4 + z
 
@@ -147,3 +147,18 @@ def test_criterion_11_majorization_certificates():
 
 def test_criterion_12_duality_exclusivity():
     _run(suite.criterion_12_duality_exclusivity)
+
+
+def test_run_all_certifies_each_distinct_row_once(monkeypatch):
+    rows = []
+    certify = poly._certify
+
+    def recorded(c, z):
+        rows.extend(tuple(row) for row in c.tolist())
+        return certify(c, z)
+
+    monkeypatch.setattr(poly, "_certify", recorded)
+    for cached in (suite._rotated_family, suite._svar_corpus):
+        cached.cache_clear()
+    suite.run_all(verbose=False)
+    assert rows and len(rows) == len(set(rows))

@@ -323,6 +323,11 @@ class TestErrorPaths:
         assert "coefficient 1 is not finite" in json.loads(captured.out)["error"]
         assert captured.err == ""  # rejected before any root finding
 
+    @pytest.mark.parametrize("probes", ["nan", "2,0;nan"])
+    def test_non_finite_probe_is_exit_two(self, capsys, quartic_file, probes):
+        assert main(["normal", "glweights", quartic_file, "--probes", probes]) == 2
+        assert "is not finite" in json.loads(capsys.readouterr().out)["error"]
+
     @pytest.mark.parametrize("grid", ["0,0,0,0", "1e-3,1e-3,1e-3,1e-3"])
     def test_degenerate_fit_grid_is_exit_two(self, capsys, grid):
         assert main(["varsecond", "fit", "--family", "deg4", "--grid", grid]) == 2

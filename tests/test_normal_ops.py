@@ -8,11 +8,11 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from polycrit.metrics import bottleneck_match
-from polycrit.poly import Polynomial, sort_lex
+from polycrit.poly import Polynomial
 from polycrit import normal_ops as no
 from polycrit import poly, suite
 
-from conftest import disk_points, roots_of_unity
+from conftest import disk_points, lex_sorted, roots_of_unity
 
 
 class TestDftUnitary:
@@ -394,7 +394,7 @@ class TestParentSpectrum:
             assert bottleneck_match(full, cp.find_roots().points) <= 1e-10
             assert bottleneck_match(full, np.roots(np.array(cp.coeffs)[::-1])) <= 1e-10
             assert bottleneck_match(full, roots) <= 1e-10
-            assert list(full) == sort_lex(full)
+            assert list(full) == lex_sorted(full)
 
     @pytest.mark.parametrize("n", range(4, 17))
     @pytest.mark.parametrize("pattern", ["triple", "two-doubles"])
@@ -407,7 +407,7 @@ class TestParentSpectrum:
             assert sorted(Counter(full).values()) == expect
             assert bottleneck_match(full, no.char_poly(A.entries).find_roots().points) <= 1e-10
             assert bottleneck_match(full, roots) <= 1e-10
-            assert list(full) == sort_lex(full)
+            assert list(full) == lex_sorted(full)
 
     def test_order_cap_kept(self):
         A = no.as_normal(np.diag(np.arange(65, dtype=complex)))
@@ -508,7 +508,7 @@ class TestCompressionOracles:
         assert bottleneck_match(sub, ref) <= 1e-12
         # its interlacing ratio, the weight of its eigenspace, is exactly 0
         ratios = no.interlace_ratios(A, 0)
-        assert ratios[sort_lex([1.0, 2j, -1.0, 0.5]).index(0.5)] == 0.0
+        assert ratios[lex_sorted([1.0, 2j, -1.0, 0.5]).index(0.5)] == 0.0
         assert abs(ratios.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("tiny", [1e-24, 1e-16, 1e-10])
@@ -726,6 +726,13 @@ class TestGaussLucasWeights:
         with pytest.raises(ValueError, match="probe"):
             no.gauss_lucas_weights(A, 0, [0.5 + 1e-5j])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_probe_named(self, bad):
+        # a NaN probe passes the distance test and max(worst, nan) keeps worst
+        A = no.normal_from_roots(roots_of_unity(4))
+        with pytest.raises(ValueError, match=r"probe 1 is not finite"):
+            no.gauss_lucas_weights(A, 0, [2.0, bad])
+
 
 class TestScaleInvariance:
     """compression_spectrum(s A) = s compression_spectrum(A) and
@@ -739,8 +746,8 @@ class TestScaleInvariance:
         d = np.array([1, 1.5, -1j, 2])
         A = no.as_normal(np.diag(d * self.S))
         pair = no.compression_spectrum(A, 0)
-        assert pair.eig_full == tuple(sort_lex(d * self.S))
-        assert pair.eig_sub == tuple(sort_lex(d[1:] * self.S))
+        assert pair.eig_full == tuple(lex_sorted(d * self.S))
+        assert pair.eig_sub == tuple(lex_sorted(d[1:] * self.S))
         assert np.array_equal(no.interlace_ratios(A, 0), no.interlace_ratios(no.as_normal(np.diag(d)), 0))
 
     @pytest.mark.parametrize("seed", range(6))

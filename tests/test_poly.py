@@ -13,10 +13,9 @@ from polycrit.poly import (
     RootFindingError,
     RootSet,
     cluster_indices,
-    sort_lex,
 )
 
-from conftest import disk_points, roots_of_unity, shifted
+from conftest import disk_points, lex_sorted, roots_of_unity, shifted
 
 
 def reconstruction_error(roots: RootSet, p: Polynomial) -> float:
@@ -484,7 +483,7 @@ def per_order_taylor(coeffs):
     def taylor(x, k):
         t = np.zeros((k + 1, len(x)), dtype=complex)
         b = np.full((k + 1, len(x)), poly._TINY)
-        for j in range(min(k, n) + 1):
+        for j in range(k + 1):
             row = coeffs[j:] * poly._BINOM[j : n + 1, j]
             t[j] = poly._horner(row, x)
             b[j] += poly._gamma(n, j) * poly._horner(np.abs(row), np.abs(x))
@@ -529,7 +528,7 @@ class TestTaylorRows:
             c = (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) * 10.0 ** rng.uniform(-8, 8)
             x = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) * 10.0 ** rng.uniform(-3, 3)
             rows, ref = poly._poly_taylor(c), per_order_taylor(c)
-            for k in (0, 1, 2, n, n + 1):
+            for k in sorted({0, 1, min(2, n), n}):
                 (t, b), (t_ref, b_ref) = rows(x, k), ref(x, k)
                 assert t.tobytes() == t_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
@@ -611,13 +610,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"root 1 is not finite: \(inf"):
             Polynomial.from_roots([0.5, np.inf, -0.5])
 
-    def test_sort_lex_deterministic(self):
-        pts = [1 + 1j, 1 - 1j, 0.0, 1 + 0j]
-        assert sort_lex(pts) == [0.0, 1 - 1j, 1 + 0j, 1 + 1j]
-
-    def test_from_points_only_sorts(self):
-        pts = [2e-9 + 0j, 0j, 1e-9 + 0j, 1e-9 + 0j]
-        assert RootSet.from_points(pts).points == (0j, 1e-9 + 0j, 1e-9 + 0j, 2e-9 + 0j)
+    def test_lex_argsort_deterministic(self):
+        pts = np.array([1 + 1j, 1 - 1j, 0.0, 1 + 0j])
+        assert pts[poly._lex_argsort(pts)].tolist() == [0.0, 1 - 1j, 1 + 0j, 1 + 1j]
 
     def test_rootset_len_and_array(self):
         rs = RootSet((1.0 + 0j, -1.0 + 0j))
@@ -626,9 +621,9 @@ class TestValidation:
 
 
 class TestLexOrder:
-    """_lex_argsort over a stack sorts each row as sort_lex does, and both
-    as Python's stable sort by (re, im), bit for bit: ties in re, +-0.0 and
-    exact duplicates keep their input order."""
+    """_lex_argsort over a stack sorts each row as Python's stable sort by
+    (re, im), bit for bit: ties in re, +-0.0 and exact duplicates keep
+    their input order."""
 
     POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j, complex(-0.0, 1.0), 1 + 1j, 1 - 1j, 1.0, -2.0]
 
@@ -637,9 +632,51 @@ class TestLexOrder:
         z = np.array(self.POOL, dtype=complex)[np.random.default_rng(3).integers(len(self.POOL), size=(4, 40))]
         got = np.take_along_axis(z, poly._lex_argsort(z), axis=-1)
         for row, out in zip(z, got):
-            stable = sorted((complex(v) for v in row), key=lambda v: (v.real, v.imag))
-            assert out.tobytes() == np.array(sort_lex(row)).tobytes() == np.array(stable).tobytes()
-            assert np.array(RootSet.from_points(row).points).tobytes() == out.tobytes()
+            assert out.tobytes() == np.array(lex_sorted(complex(v) for v in row)).tobytes()
+
+
+class TestScreenOnce:
+    """Each zero certifier screens its stack once: _shaky runs once per
+    _certify stack and once per _attached_zeros stack, also on rows that
+    merge, and the resolver reads that screen's mask."""
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, calls):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_certify_stack(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        doubles = [Polynomial.from_roots(np.r_[disk_points(rng, 4), 0.3 - 0.2j, 0.3 - 0.2j]) for _ in range(3)]
+        polys = doubles + [Polynomial.from_roots(disk_points(rng, 6))]
+        calls = []
+        for name in ("_certify", "_shaky", "_resolve_multiple"):
+            self._spy(monkeypatch, poly, name, calls)
+        poly.find_roots_batch(polys)
+        assert calls.count("_certify") == calls.count("_shaky") == 1
+        assert calls.count("_resolve_multiple") >= 3
+        for p in doubles:
+            assert Counter(p.find_roots().points).most_common(1)[0][1] == 2
+
+    def test_nilpotent_compression_stack(self, monkeypatch):
+        from polycrit import normal_ops as no
+
+        n = 6
+        As = no.normal_from_roots(np.array([s * roots_of_unity(n) for s in (0.8, 0.5, 1.3)]))
+        calls = []
+        self._spy(monkeypatch, no, "_attached_zeros", calls)
+        for name in ("_shaky", "_resolve_multiple"):
+            self._spy(monkeypatch, poly, name, calls)
+        _, sub = no.compression_spectra(As, 0)
+        assert calls.count("_attached_zeros") == calls.count("_shaky") == 1
+        assert calls.count("_resolve_multiple") == 3
+        for row in sub:  # p' = n z^(n-1): one (n-1)-fold point at 0
+            assert len(set(row)) == 1 and abs(row[0]) <= 1e-12
 
 
 class TestStackedNewton:
