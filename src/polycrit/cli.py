@@ -23,12 +23,14 @@ from .poly import Polynomial, disk_points
 
 
 def parse_complex(text: str) -> complex:
-    """Accept '1.5', '0.3,0.2' (re,im), or Python literals like '1+2j'."""
-    s = text.strip().replace("i", "j")
-    if "," in s:
-        re_s, im_s = s.split(",")
-        return complex(float(re_s), float(im_s))
-    return complex(s)
+    """Accept '1.5', '0.3,0.2' (re,im), or Python literals like '1+2j' or
+    '1+2i' (a trailing i only, so 'inf' and 'nan' pass); ValueError quotes
+    a malformed text."""
+    s = re.sub("i$", "j", text.strip())
+    try:
+        return complex(*map(float, s.split(","))) if "," in s else complex(s)
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed complex number {text!r}") from None
 
 
 def parse_grid(text: str) -> list[float]:
@@ -444,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json_indent")}
     rep = _Report(command=args.command, inputs={k: str(v) for k, v in inputs.items()}, seed=args.seed)
     try:
+        if not (np.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         _DISPATCH[args.command](args, rep, args.tol)
     except (ValueError, OSError, json.JSONDecodeError, KeyError, RuntimeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}))

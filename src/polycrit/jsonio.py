@@ -45,8 +45,8 @@ def poly_from_obj(obj: dict) -> Polynomial:
     raise ValueError("polynomial object needs repr 'roots' or 'coeffs'")
 
 
-def write_poly(path, p: Polynomial, repr_kind: str = "coeffs", indent: int | None = 2) -> None:
-    Path(path).write_text(json.dumps(poly_to_obj(p, repr_kind), indent=indent) + "\n")
+def write_poly(path, p: Polynomial, repr_kind: str = "coeffs") -> None:
+    Path(path).write_text(json.dumps(poly_to_obj(p, repr_kind), indent=2) + "\n")
 
 
 def read_poly(path) -> Polynomial:

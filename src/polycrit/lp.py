@@ -280,18 +280,20 @@ def _finite_matrix(M, stage: str) -> np.ndarray:
     return M
 
 
-def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Optimum of max t s.t. Re(M h) >= t, |Re h_i|, |Im h_i| <= 1.
-
-    Returns (t*, h*); t* > 0 exactly when the strict system is solvable.
-    By LP duality t* = min over the simplex of ||G^T mu||_1 (G = [Re M,
-    -Im M], so that Re(M h) = G (Re h, Im h)), that is
+def strict_optimum(M) -> float:
+    """Optimum t* >= 0 of max t s.t. Re(M h) >= t, |Re h_i|, |Im h_i| <= 1;
+    t* > 0 exactly when the strict system is solvable.  Duality sweeps
+    read a strictly feasible system from t* above a margin and a
+    positively singular one from t* = 0 to rounding, and reject the band
+    in between.  By LP duality t* = min over the simplex of ||G^T mu||_1
+    (G = [Re M, -Im M], so that Re(M h) = G (Re h, Im h)), that is
 
         min 1^T (p + q)  s.t.  G^T mu - p + q = 0,  1^T mu = 1,  (mu, p, q) >= 0,
 
-    whose dual optimum pi = (pi_u, t*) gives h* = -pi_u.  The LP is built
-    on M / max|M_ij| and t* scaled back, so t*(s M) = s t*(M) to rounding.
+    whose dual optimum is pi = (pi_u, t*).  The LP is built on
+    M / max|M_ij| and t* scaled back, so t*(s M) = s t*(M) to rounding.
     """
+    M = _finite_matrix(M, "strict_optimum")
     m, n = M.shape
     size = float(np.abs(M).max()) or 1.0
     n2 = 2 * n
@@ -304,16 +306,7 @@ def _box_lp(M: np.ndarray) -> tuple[float, np.ndarray]:
     b[n2] = 1.0
     cost = np.concatenate([np.zeros(m), np.ones(2 * n2)])
     _, pi = solve_standard_form(A, b, cost)
-    u = np.clip(-pi[:n2], -1.0, 1.0)
-    return size * float(pi[n2]), u[:n] + 1j * u[n:]
-
-
-def strict_optimum(M) -> float:
-    """t* of the box LP alone, t* >= 0 since h = 0 is feasible.  Duality
-    sweeps read a strictly feasible system from t* above a margin and a
-    positively singular one from t* = 0 to rounding, and reject the band
-    in between."""
-    return _box_lp(_finite_matrix(M, "strict_optimum"))[0]
+    return size * float(pi[n2])
 
 
 def strict_feasibility(M) -> FeasibilityCertificate:

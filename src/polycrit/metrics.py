@@ -99,16 +99,11 @@ def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     return float(cands[lo]), [int(j) for j in match(cands[lo])]
 
 
-def bottleneck_match(a, b) -> float:
-    """Bottleneck value alone; see bottleneck_assignment."""
-    return bottleneck_assignment(a, b)[0]
-
-
 def delta_distance(p: Polynomial, q: Polynomial) -> float:
     """Bottleneck matching distance between the root multisets of p and q."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return bottleneck_match(p.find_roots().points, q.find_roots().points)
+    return bottleneck_assignment(p.find_roots().points, q.find_roots().points)[0]
 
 
 def smale_ratio(p: Polynomial) -> float:

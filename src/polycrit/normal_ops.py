@@ -11,7 +11,7 @@ one Schur form; char_poly serves the differentiator identity itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,8 +26,8 @@ INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this dist
 
 @dataclass(frozen=True, eq=False)
 class NormalMatrix:
-    """Dense complex matrix certified normal at construction; equality is
-    identity, since entries is an array."""
+    """Dense complex matrix certified normal at construction, holding no
+    derived data; equality is identity, since entries is an array."""
 
     entries: np.ndarray
     normality_residual: float
@@ -35,11 +35,6 @@ class NormalMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        # one Schur form per matrix serves every deletion index
-        return _orthonormal_eigenbasis(self.entries)
 
 
 def as_normal(matrix) -> NormalMatrix:
@@ -67,21 +62,12 @@ def dft_unitary(n: int) -> np.ndarray:
     """u_{ij} = eta^{ij} / sqrt(n), eta = exp(2 pi i / n), 1-based exponents.
 
     Each column is a trace vector for any matrix diagonal in the standard
-    basis; the matrix is symmetric, unitary and read-only (see _dft_pair).
+    basis; the matrix is symmetric and unitary, built afresh on each call.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    return _dft_pair(n)[0]
-
-
-@lru_cache(maxsize=poly.MAX_DEGREE)
-def _dft_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """dft_unitary(n) and its conjugate transpose, read-only, built on first use."""
     k = np.arange(1, n + 1)
-    U = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    Uh = U.conj().T
-    U.flags.writeable = Uh.flags.writeable = False
-    return U, Uh
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
 def normal_from_roots(roots):
@@ -97,10 +83,10 @@ def normal_from_roots(roots):
     n = r.shape[-1] if r.ndim else 0
     if n < 2:
         raise ValueError("need at least two eigenvalues")
-    U, Uh = _dft_pair(n)
+    U = dft_unitary(n)
     D = np.zeros(r.shape + (n,), dtype=complex)
     D[..., range(n), range(n)] = r
-    A = Uh @ D @ U
+    A = U.conj().T @ D @ U
     residual = _normality_residuals(A)
     return A if r.ndim > 1 else NormalMatrix(entries=A, normality_residual=float(residual))
 
@@ -341,11 +327,11 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
     of each with row/column i deleted (one index for all, or one per
     matrix): arrays (k, n) and (k, n - 1) whose rows are in RootSet
     format (lex-sorted, a multiple eigenvalue as one value repeated), each
-    row bit for bit compression_spectrum's.
+    row bit for bit that of its matrix alone (compression_spectrum).
 
     A stacked normality check (as as_normal), one zgees per matrix with
     the workspace size taken once per order, then every other step of
-    compression_spectrum over the stack: the cluster screen, the
+    compression_spectrum's method over the stack: the cluster screen, the
     Householder compression, np.linalg.eigvals, the partial-fraction
     Taylor values and the Newton polish, poly._newton row by row;
     poly._resolve_multiple runs only on the rows with shaky starts.  The
@@ -370,8 +356,8 @@ def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
 
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     """Spectra of A and of A with row/column i deleted, in RootSet format
-    (lex-sorted, a k-fold eigenvalue as one value repeated k times): the
-    batch of one of compression_spectra, on the Schur form A keeps.
+    (lex-sorted, a k-fold eigenvalue as one value repeated k times): row 0
+    of compression_spectra on the stack of one, A.entries[None].
 
     Both come from one Schur form A = Z diag(lambda) Z* and the paper's
     Gauss-Lucas identity
@@ -395,8 +381,7 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     poly.MAX_DEGREE.
     """
     _check_index("compression_spectrum", A.n, i, poly.MAX_DEGREE)
-    lam, Z = A._eigenbasis
-    full, sub = _compress(lam[None], Z[None], i)
+    full, sub = compression_spectra(A.entries[None], i)
     return SpectrumPair(eig_full=tuple(full[0]), eig_sub=tuple(sub[0]), source_index=i)
 
 
@@ -459,7 +444,7 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     probe that is not finite or lies near the spectrum raises ValueError.
     """
     _check_index("gauss_lucas_weights", A.n, i)
-    eigvals, Z = A._eigenbasis
+    eigvals, Z = _orthonormal_eigenbasis(A.entries)
     weights = np.abs(Z[i, :]) ** 2
     sub = principal_submatrix(A.entries, i)
     n = A.n
@@ -491,7 +476,7 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     ValueError, so the ratios of s A are those of A.
     """
     _check_index("interlace_ratios", A.n, i)
-    lam, Z = A._eigenbasis
+    lam, Z = _orthonormal_eigenbasis(A.entries)
     [(_, mu, _, W)] = _parent_clusters(lam[None], Z[None], i, INTERLACE_TOL)
     centers = mu[0]
     m = len(centers)

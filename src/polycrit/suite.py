@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,10 +390,11 @@ ALL_CRITERIA = [
 
 
 def run_all(verbose: bool = True) -> list[Check]:
+    """Every check of ALL_CRITERIA; verbose prints each PASS/FAIL line to stderr."""
     checks: list[Check] = []
     for fn in ALL_CRITERIA:
         for check in fn():
             checks.append(check)
             if verbose:
-                print(check.line())
+                print(check.line(), file=sys.stderr)
     return checks

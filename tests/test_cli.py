@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +13,13 @@ import polycrit
 from polycrit import lp, majorization, maximal_zero, variation_first
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
-from polycrit.metrics import bottleneck_match
+from polycrit.metrics import bottleneck_assignment
 from polycrit.poly import Polynomial, disk_points
 
 
 def run(capsys, argv):
     code = main(argv)
-    out = capsys.readouterr().out
-    # suite prints PASS/FAIL lines before the report; the report is last
-    payload = out.strip().splitlines()[-1]
-    return code, json.loads(payload)
+    return code, json.loads(capsys.readouterr().out)
 
 
 @pytest.fixture
@@ -37,6 +35,19 @@ class TestParsers:
         assert parse_complex("0.3,0.2") == complex(0.3, 0.2)
         assert parse_complex("1+2j") == complex(1, 2)
         assert parse_complex("1+2i") == complex(1, 2)
+        assert parse_complex("2i") == 2j
+
+    def test_complex_rewrites_only_a_trailing_unit(self):
+        assert parse_complex("inf") == complex(np.inf, 0.0)
+        assert parse_complex("-infi") == complex(0.0, -np.inf)
+        z = parse_complex("-inf,nan")
+        assert z.real == -np.inf and np.isnan(z.imag)
+        assert np.isnan(parse_complex("nan").real)
+
+    @pytest.mark.parametrize("text", ["abc", "1,2,3", "1+2k", ""])
+    def test_malformed_complex_quotes_its_text(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"malformed complex number {text!r}")):
+            parse_complex(text)
 
     def test_grid(self):
         assert parse_grid("1e-3:3") == [1e-3, 2e-3, 3e-3]
@@ -76,6 +87,18 @@ class TestJsonSchema:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_suite_stdout_is_one_report(self, capsys, monkeypatch, quiet):
+        from polycrit import suite
+
+        monkeypatch.setattr(suite, "ALL_CRITERIA", [suite.criterion_03_a_nonsingular, suite.criterion_04_second_order_fit])
+        code = main(["suite", "sendov-desk"] + (["--quiet"] if quiet else []))
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)  # the whole of stdout, PASS/FAIL lines excluded
+        assert code == 1 and rep["outputs"] == {"passed": 3, "total": 4}
+        lines = captured.err.splitlines()
+        assert lines == [] if quiet else [ln.split()[0] for ln in lines] == ["PASS", "PASS", "FAIL", "PASS"]
+
     def test_metrics_d(self, capsys, quartic_file):
         code, rep = run(capsys, ["metrics", "d", quartic_file])
         assert code == 0
@@ -239,7 +262,7 @@ class TestCommands:
             draw = disk_points(rng, 6)
             obj = json.loads(Path(path).read_text())
             assert obj == poly_to_obj(Polynomial.from_roots(draw), "roots")
-            assert bottleneck_match(unpairs(obj["roots"]), draw) <= 1e-12
+            assert bottleneck_assignment(unpairs(obj["roots"]), draw)[0] <= 1e-12
 
     def test_gen_other_kinds(self, capsys, tmp_path):
         code, rep = run(
@@ -327,6 +350,28 @@ class TestErrorPaths:
     def test_non_finite_probe_is_exit_two(self, capsys, quartic_file, probes):
         assert main(["normal", "glweights", quartic_file, "--probes", probes]) == 2
         assert "is not finite" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_infinite_probe_is_named(self, capsys, quartic_file):
+        assert main(["normal", "glweights", quartic_file, "--probes", "2,0;inf"]) == 2
+        assert "probe 1 is not finite: (inf+0j)" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_malformed_complex_option_quotes_its_text(self, capsys, quartic_file):
+        assert main(["major", "check", quartic_file, "--alpha", "abc"]) == 2
+        assert "'abc'" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_bad_tolerance_is_exit_two(self, capsys, quartic_file, tol, before):
+        # a non-finite or negative tolerance would pass or fail every check
+        # whatever the input
+        cmd = ["zeromax", "verify", quartic_file]
+        assert main(["--tol", tol] + cmd if before else cmd + ["--tol", tol]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "--tol" in error and error.endswith(str(float(tol)))
+
+    def test_zero_tolerance_is_accepted(self, capsys, quartic_file):
+        code, rep = run(capsys, ["--tol", "0", "zeromax", "verify", quartic_file])
+        assert code in (0, 1) and all(c["tolerance"] == 0.0 for c in rep["checks"])
 
     @pytest.mark.parametrize("grid", ["0,0,0,0", "1e-3,1e-3,1e-3,1e-3"])
     def test_degenerate_fit_grid_is_exit_two(self, capsys, grid):

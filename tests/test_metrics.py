@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 from polycrit.metrics import (
     alpha_distance,
     bottleneck_assignment,
-    bottleneck_match,
     delta_distance,
     directed_hausdorff,
     smale_ratio,
@@ -18,7 +17,7 @@ from conftest import disk_points
 
 
 def bottleneck_brute(a, b):
-    """Permutation-enumeration oracle for bottleneck_match (small sets only)."""
+    """Permutation-enumeration oracle for bottleneck_assignment (small sets only)."""
     A = [complex(x) for x in a]
     B = [complex(x) for x in b]
     assert len(A) <= 7, "brute-force oracle capped at 7 points"
@@ -138,7 +137,7 @@ class TestDelta:
             n = int(rng.integers(2, 7))
             a = disk_points(rng, n)
             b = disk_points(rng, n)
-            assert abs(bottleneck_match(a, b) - bottleneck_brute(a, b)) <= 1e-14
+            assert abs(bottleneck_assignment(a, b)[0] - bottleneck_brute(a, b)) <= 1e-14
 
     @pytest.mark.parametrize("b", [[], [0.5, 1j]])
     def test_empty_first_set(self, b):
@@ -147,7 +146,7 @@ class TestDelta:
     def test_rectangular_injection(self, rng):
         a = disk_points(rng, 3)
         b = disk_points(rng, 6)
-        assert abs(bottleneck_match(a, b) - bottleneck_brute(a, b)) <= 1e-14
+        assert abs(bottleneck_assignment(a, b)[0] - bottleneck_brute(a, b)) <= 1e-14
 
     @pytest.mark.parametrize(
         "n_a, n_b, repeats",
@@ -175,7 +174,7 @@ class TestDelta:
         for _ in range(30):
             a = disk_points(rng, 5)
             b = disk_points(rng, 5)
-            assert bottleneck_match(a, b) == bottleneck_match(b, a)
+            assert bottleneck_assignment(a, b)[0] == bottleneck_assignment(b, a)[0]
 
     def test_triangle_inequality(self, rng):
         for _ in range(30):

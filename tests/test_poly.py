@@ -7,7 +7,7 @@ import pytest
 
 from polycrit.lp import in_convex_hull
 from polycrit import maximal_zero as mz, poly
-from polycrit.metrics import bottleneck_match
+from polycrit.metrics import bottleneck_assignment
 from polycrit.poly import (
     Polynomial,
     RootFindingError,
@@ -125,7 +125,7 @@ class TestFindRoots:
         roots = disk_points(rng, 10, min_sep=1e-3)
         p = Polynomial.from_roots(roots)
         got = p.find_roots().as_array()
-        assert bottleneck_match(roots, got) <= 1e-8
+        assert bottleneck_assignment(roots, got)[0] <= 1e-8
 
     def test_matches_companion_eigenvalues(self, rng):
         # independent oracle: numpy's eigenvalue-based root finder
@@ -135,7 +135,7 @@ class TestFindRoots:
             p = Polynomial.from_roots(roots)
             mine = p.find_roots().as_array()
             ref = np.roots(np.array(p.coeffs)[::-1])
-            assert bottleneck_match(ref, mine) <= 1e-8
+            assert bottleneck_assignment(ref, mine)[0] <= 1e-8
 
     def test_double_root_reported_as_cluster(self):
         p = Polynomial.from_roots([0.3 + 0.4j, 0.3 + 0.4j, -0.7])
@@ -164,7 +164,7 @@ class TestFindRoots:
     def test_degree_cap_round_trip(self, rng):
         roots = disk_points(rng, 64, min_sep=1e-2)
         got = Polynomial.from_roots(roots).find_roots().as_array()
-        assert bottleneck_match(roots, got) <= 1e-7
+        assert bottleneck_assignment(roots, got)[0] <= 1e-7
 
     def test_close_distinct_pair_not_merged(self):
         p = Polynomial.from_roots([0.5, 0.5 + 2e-3, -0.3j])
@@ -211,7 +211,7 @@ class TestMemo:
                 p.find_roots()
         assert len(calls) == 2
         monkeypatch.undo()
-        assert bottleneck_match(p.find_roots().points, [0.4, -0.5, 0.1j]) <= 1e-12
+        assert bottleneck_assignment(p.find_roots().points, [0.4, -0.5, 0.1j])[0] <= 1e-12
 
     def test_equality_and_hash_ignore_memo(self, rng):
         coeffs = Polynomial.from_roots(disk_points(rng, 5)).coeffs
@@ -259,7 +259,7 @@ class TestLejaExpansion:
     def test_ring_roots_recovered(self):
         roots = jittered_ring(0)
         got = Polynomial.from_roots(roots).find_roots().as_array()
-        assert bottleneck_match(roots, got) <= 1e-12
+        assert bottleneck_assignment(roots, got)[0] <= 1e-12
 
     def test_order_starts_at_largest_modulus(self):
         pts = np.array([0.1, -2.0, 1.0, 1.0 + 1e-3])
@@ -282,7 +282,7 @@ class TestCertificate:
         assert set(Counter(got.points).values()) == {1}
         with mpmath.workdps(60):
             ref = mpmath.polyroots([mpmath.mpc(c) for c in p.coeffs[::-1]], maxsteps=50, extraprec=60)
-        assert bottleneck_match(got.as_array(), [complex(r) for r in ref]) <= 1e-12
+        assert bottleneck_assignment(got.as_array(), [complex(r) for r in ref])[0] <= 1e-12
 
     @pytest.mark.parametrize("seed", range(20))
     def test_degree_cap_square_certified(self, seed):
@@ -469,8 +469,8 @@ class TestBackwardContract:
         # not a forward bound: the merged points sit 8.0e-2 from the exact
         # roots, where companion eigenvalues (np.roots) stay within 2.0e-3
         p = Polynomial.from_roots(self.EXACT)
-        mine = bottleneck_match(p.find_roots().points, self.EXACT)
-        ref = bottleneck_match(np.roots(np.array(p.coeffs)[::-1]), self.EXACT)
+        mine = bottleneck_assignment(p.find_roots().points, self.EXACT)[0]
+        ref = bottleneck_assignment(np.roots(np.array(p.coeffs)[::-1]), self.EXACT)[0]
         assert 7.5e-2 <= mine <= 8.5e-2
         assert ref <= 2.5e-3
 
@@ -567,7 +567,7 @@ class TestInvariants:
             n = int(rng.integers(2, 17))
             roots = disk_points(rng, n, min_sep=1e-3, max_mod=2.0)
             got = Polynomial.from_roots(roots).find_roots().as_array()
-            assert bottleneck_match(roots, got) <= 1e-8
+            assert bottleneck_assignment(roots, got)[0] <= 1e-8
 
     def test_reconstruction_error(self, rng):
         for _ in range(10):
