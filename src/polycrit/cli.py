@@ -133,26 +133,24 @@ def _cmd_varsecond(args, rep: _Report, tol: float) -> None:
         grid = parse_grid(args.grid)
         fit = variation_second.fit_quadratic_growth(args.family, grid)
         rep.outputs = {"c2": fit.c2, "c3": fit.c3, "residual": fit.residual, "grid": grid}
-    elif args.op == "prop112":
+    else:
         rows = []
         worst = -np.inf
         for n in parse_range(args.n):
-            eps = np.zeros(n, dtype=complex)
-            eps[0] = args.eps1 * np.exp(1j * args.phase)
-            _, lhs, rhs = variation_second.prop112_perturbation(n, eps, kappa=args.kappa)
-            rows.append({"n": n, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs})
+            if args.op == "prop112":
+                eps = np.zeros(n, dtype=complex)
+                eps[0] = args.eps1 * np.exp(1j * args.phase)
+                _, lhs, rhs = variation_second.prop112_perturbation(n, eps, kappa=args.kappa)
+                rows.append({"n": n, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs})
+            else:
+                lhs, rhs = variation_second.prop113_inequality(n)
+                rows.append({"n": n, "lhs": lhs, "rhs": rhs})
             worst = max(worst, lhs - rhs)
         rep.outputs = {"rows": rows}
-        rep.check("perturbation-inequality", worst <= 0.0, worst, 0.0)
-    elif args.op == "prop113":
-        rows = []
-        worst = -np.inf
-        for n in parse_range(args.n):
-            lhs, rhs = variation_second.prop113_inequality(n)
-            rows.append({"n": n, "lhs": lhs, "rhs": rhs})
-            worst = max(worst, lhs - rhs)
-        rep.outputs = {"rows": rows}
-        rep.check("sine-ratio-inequality", worst < 0.0, worst, 0.0)
+        if args.op == "prop112":
+            rep.check("perturbation-inequality", worst <= 0.0, worst, 0.0)
+        else:
+            rep.check("sine-ratio-inequality", worst < 0.0, worst, 0.0)
 
 
 def _cmd_zeromax(args, rep: _Report, tol: float) -> None:
@@ -167,39 +165,15 @@ def _cmd_zeromax(args, rep: _Report, tol: float) -> None:
     elif args.op == "verify":
         p = jsonio.read_poly(args.poly)
         report = maximal_zero.verify_0maximal(p, tol=tol)
-        rep.outputs = {
-            "radius": report.radius,
-            "radius_deviation": report.radius_deviation,
-            "root_circle_deviation": report.root_circle_deviation,
-            "crit_modulus_deviation": report.crit_modulus_deviation,
-            "is_0maximal": report.is_0maximal,
-        }
-        rep.check("radius-deviation", report.radius_deviation <= tol, report.radius_deviation, tol)
-        rep.check(
-            "root-circle-deviation", report.root_circle_deviation <= tol, report.root_circle_deviation, tol
-        )
-        rep.check(
-            "crit-modulus-deviation",
-            report.crit_modulus_deviation <= tol,
-            report.crit_modulus_deviation,
-            tol,
-        )
+        devs = {k: getattr(report, k) for k in ("radius_deviation", "root_circle_deviation", "crit_modulus_deviation")}
+        rep.outputs = {"radius": report.radius, **devs, "is_0maximal": report.is_0maximal}
+        for name, dev in devs.items():
+            rep.check(name.replace("_", "-"), dev <= tol, dev, tol)
 
 
 def _cmd_normal(args, rep: _Report, tol: float) -> None:
     from . import normal_ops
-    if args.op == "compress":
-        p = jsonio.read_poly(args.poly)
-        A = normal_ops.normal_from_roots(p.find_roots().points)
-        pair = normal_ops.compression_spectrum(A, args.index)
-        rep.outputs = {
-            "eig_full": jsonio.pairs(pair.eig_full),
-            "eig_sub": jsonio.pairs(pair.eig_sub),
-            "source_index": pair.source_index,
-        }
-        hull_ok = normal_ops.eigvals_in_hull(pair, tol=1e-8)
-        rep.check("subspectrum-in-hull", hull_ok, 0.0 if hull_ok else 1.0, 0.0)
-    elif args.op == "svar":
+    if args.op == "svar":
         rng = np.random.default_rng(args.seed)
         worst = -np.inf
         if args.poly:
@@ -216,17 +190,24 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
             worst = max(worst, s - float(np.abs(roots).max()))
         rep.outputs = {"max_excess": worst, "trials": len(polys)}
         rep.check("spectral-variation-bound", worst <= 1e-9, worst, 1e-9)
+        return
+    A = normal_ops.normal_from_roots(jsonio.read_poly(args.poly).find_roots().points)
+    if args.op == "compress":
+        pair = normal_ops.compression_spectrum(A, args.index)
+        rep.outputs = {
+            "eig_full": jsonio.pairs(pair.eig_full),
+            "eig_sub": jsonio.pairs(pair.eig_sub),
+            "source_index": pair.source_index,
+        }
+        hull_ok = normal_ops.eigvals_in_hull(pair, tol=1e-8)
+        rep.check("subspectrum-in-hull", hull_ok, 0.0 if hull_ok else 1.0, 0.0)
     elif args.op == "glweights":
-        p = jsonio.read_poly(args.poly)
-        A = normal_ops.normal_from_roots(p.find_roots().points)
         probes = [parse_complex(s) for s in args.probes.split(";")]
         weights, residual = normal_ops.gauss_lucas_weights(A, args.index, probes)
         rep.outputs = {"weights": [float(w) for w in weights], "residual": residual}
         rep.check("weights-sum-to-one", abs(weights.sum() - 1) <= 1e-10, abs(weights.sum() - 1), 1e-10)
         rep.check("partial-fraction-residual", residual <= 1e-8, residual, 1e-8)
     elif args.op == "interlace":
-        p = jsonio.read_poly(args.poly)
-        A = normal_ops.normal_from_roots(p.find_roots().points)
         ratios = normal_ops.interlace_ratios(A, args.index)
         rep.outputs = {"ratios": [float(r) for r in ratios]}
         rep.check("ratios-nonnegative", float(ratios.min()) >= -1e-8, float(ratios.min()), -1e-8)
@@ -236,9 +217,9 @@ def _cmd_major(args, rep: _Report, tol: float) -> None:
     from . import majorization
     p = jsonio.read_poly(args.poly)
     alpha = parse_complex(args.alpha)
+    W = majorization.tuple_W(p, alpha, args.k)
+    Z = majorization.tuple_Z(p, alpha, args.k)
     if args.op == "check":
-        W = majorization.tuple_W(p, alpha, args.k)
-        Z = majorization.tuple_Z(p, alpha, args.k)
         cert = majorization.check_majorization(W, Z)
         if cert is None:
             rep.outputs = {"feasible": False}
@@ -254,8 +235,6 @@ def _cmd_major(args, rep: _Report, tol: float) -> None:
             }
             rep.check("certificate-residuals", cert.holds, cert.residual, majorization.CERT_TOL)
     elif args.op == "dbs":
-        W = majorization.tuple_W(p, alpha, args.k)
-        Z = majorization.tuple_Z(p, alpha, args.k)
         lhs, rhs = majorization.dbs_inequality(W, Z, args.f)
         rep.outputs = {"lhs": lhs, "rhs": rhs, "f": args.f}
         rep.check("convex-mean-domination", lhs <= rhs + 1e-10, lhs - rhs, 1e-10)
@@ -415,21 +394,31 @@ _DISPATCH = {
 }
 
 
-# options whose complex value may start with a minus, as in "--alpha -0.5,0.1"
-_COMPLEX_OPTIONS = ("--alpha", "--zero", "--probes")
-_SIGNED_VALUE = re.compile(r"-[\d.]")
+# a value that starts with a minus: a number (exponent forms included),
+# -inf, -nan, or a complex value such as -0.5,0.1
+_SIGNED_VALUE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite "--alpha -0.5,0.1" as "--alpha=-0.5,0.1".
+def _attach_signed_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Rewrite "--alpha -0.5,0.1" as "--alpha=-0.5,0.1", for every option
+    of parser or of its subcommands that takes a value.
 
     argparse takes a token with a leading minus for an option unless the
     whole token is a plain number, so it would refuse a spaced value such
-    as -0.5,0.1; attached with "=", the token is always read as the value.
+    as -0.5,0.1, -1e-3 or -inf; attached with "=", the token is always
+    read as the value.
     """
+    takes_value: set[str] = set()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.nargs != 0:
+                takes_value.update(action.option_strings)
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _COMPLEX_OPTIONS and _SIGNED_VALUE.match(tok):
+        if out and out[-1] in takes_value and _SIGNED_VALUE.match(tok):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -439,7 +428,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv, ap))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(exc.code or 0)

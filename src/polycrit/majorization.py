@@ -8,6 +8,7 @@ the nonnegative equality kernel, treating C as R^2.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,9 +66,12 @@ def _subsets(n: int, k: int) -> np.ndarray:
 
 
 def _products(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> np.ndarray:
-    """All k-subset products of (roots of q - alpha), 1 <= k <= deg p - 1."""
+    """All k-subset products of (roots of q - alpha), 1 <= k <= deg p - 1;
+    a centre alpha that is not finite raises ValueError naming it."""
     if not 1 <= k <= p.degree - 1:
         raise ValueError("k must satisfy 1 <= k <= n-1")
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha is not finite: {complex(alpha)}")
     pts = np.asarray(q.find_roots().points, dtype=complex) - complex(alpha)
     n = len(pts)
     count = math.comb(n, k)

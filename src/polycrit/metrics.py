@@ -41,24 +41,26 @@ def alpha_distance(p: Polynomial, alpha: complex) -> CriticalCircle:
     return CriticalCircle(center=complex(alpha), radius=radius, on_circle=on)
 
 
+def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min over j of |a_i - b_j| for each a_i: (..., len a) for complex
+    stacks (..., len a) and (..., len b)."""
+    return np.abs(a[..., :, None] - b[..., None, :]).min(axis=-1)
+
+
 def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     """d(p): max over zeros of the distance to the nearest critical point.
 
     Ties (within 1e-12 relative) go to the lexicographically (re, im)
-    smallest zero, so repeated runs return identical witnesses.
+    smallest zero: the witness is the first zero, in RootSet order, whose
+    distance is within 1e-12 relative of the largest, and the value is its
+    distance, so repeated runs return identical witnesses.
     """
     if p.degree < 2:
         raise ValueError("directed_hausdorff needs degree >= 2")
-    zeros = p.find_roots().points  # lex-sorted by the certifier
-    crit = p.derivative().find_roots().as_array()
-    best_val = -1.0
-    worst = zeros[0]
-    for z in zeros:
-        m = float(np.abs(crit - z).min())
-        if m > best_val * (1 + 1e-12):
-            best_val = m
-            worst = z
-    return best_val, complex(worst)
+    zeros = p.find_roots().as_array()  # lex-sorted by the certifier
+    dists = _nearest(zeros, p.derivative().find_roots().as_array())
+    k = int(np.flatnonzero(dists * (1 + 1e-12) >= dists.max())[0])
+    return float(dists[k]), complex(zeros[k])
 
 
 def bottleneck_assignment(a, b) -> tuple[float, list[int]]:

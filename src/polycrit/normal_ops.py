@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .lp import in_convex_hull
-from . import poly
+from . import metrics, poly
 from .poly import Polynomial, cluster_indices
 
 NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
@@ -73,7 +73,8 @@ def dft_unitary(n: int) -> np.ndarray:
 def normal_from_roots(roots):
     """U* diag(roots) U with the Fourier unitary: a NormalMatrix for one
     root set, the entries (k, n, n) for a stack of root sets (k, n), bit
-    for bit those of each set alone and checked normal as one stack.
+    for bit those of each set alone and checked normal in the blocks of
+    poly._blocks, which bounds the check's temporaries.
 
     Every standard basis vector becomes a trace vector, so deleting any
     row/column pair compresses the spectrum onto the critical points of
@@ -87,8 +88,12 @@ def normal_from_roots(roots):
     D = np.zeros(r.shape + (n,), dtype=complex)
     D[..., range(n), range(n)] = r
     A = U.conj().T @ D @ U
-    residual = _normality_residuals(A)
-    return A if r.ndim > 1 else NormalMatrix(entries=A, normality_residual=float(residual))
+    if r.ndim == 1:
+        return NormalMatrix(entries=A, normality_residual=float(_normality_residuals(A)))
+    stack = A.reshape(-1, n, n)
+    for s in poly._blocks(len(stack), n * n):
+        _normality_residuals(stack[s])
+    return A
 
 
 def random_normal(roots, seed: int) -> NormalMatrix:
@@ -392,7 +397,7 @@ def spectral_variation(E1, E2):
     b = np.asarray(E2, dtype=complex)
     if a.shape[-1] == 0 or b.shape[-1] == 0:
         raise ValueError("spectral variation needs nonempty spectra")
-    s = np.abs(a[..., :, None] - b[..., None, :]).min(axis=-1).max(axis=-1)
+    s = metrics._nearest(a, b).max(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

@@ -80,13 +80,6 @@ def _check_finite(what: str, values) -> None:
         raise ValueError(f"{what} {bad[0]} is not finite: {values[bad[0]]}")
 
 
-def _horner(coeffs_ascending: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, coeffs_ascending[-1])
-    for c in coeffs_ascending[-2::-1]:
-        out = out * z + c
-    return out
-
-
 def _gamma(n: int, k):
     """Rounding factor of the k-th Taylor coefficient of a degree-n
     polynomial or of a sum over n poles (Higham, Accuracy and Stability
@@ -388,9 +381,11 @@ class Polynomial:
         return abs(self.coeffs[-1] - 1.0) <= 1e-12
 
     def __call__(self, z):
+        """p(z) by Horner's rule (np.polyval): an array for an array z, a
+        complex for a scalar."""
         arr = np.asarray(z, dtype=complex)
-        out = _horner(np.array(self.coeffs), arr if arr.ndim else arr.reshape(1))
-        return out if arr.ndim else complex(out[0])
+        out = np.polyval(self.coeffs[::-1], arr)
+        return out if arr.ndim else complex(out)
 
     def vanishes_at(self, z: complex) -> bool:
         """|p(z)| <= 1e-10 sum |c_k| rho^k, rho = max(|z|, max_k |c_(n-k)/c_n|^(1/k)):
@@ -399,7 +394,7 @@ class Polynomial:
         c = np.abs(self.coeffs)
         n = self.degree
         rho = max([abs(complex(z))] + [(c[n - k] / c[n]) ** (1.0 / k) for k in range(1, n + 1)])
-        return abs(self(z)) <= 1e-10 * float(_horner(c, np.array([rho]))[0])
+        return abs(self(z)) <= 1e-10 * float(np.polyval(c[::-1], rho))
 
     def derivative(self) -> "Polynomial":
         """Coefficient-wise derivative; degree 0 yields the constant 0.

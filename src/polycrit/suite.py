@@ -227,17 +227,14 @@ def criterion_07_differentiator() -> list[Check]:
 def _svar_corpus() -> list[tuple[np.ndarray, np.ndarray]]:
     """Per degree n = 2..8, 500 seeded root sets (500, n) and the
     submatrix spectra (500, n - 1) of their Fourier normal matrices
-    U* diag(roots) U with row/column 0 deleted, one stack per degree.  The
-    root sets of a degree are one disk_points draw, which gives the points
-    and generator state of 500 draws of n."""
+    (normal_ops.normal_from_roots) with row/column 0 deleted, one stack
+    per degree.  The root sets of a degree are one disk_points draw,
+    which gives the points and generator state of 500 draws of n."""
     rng = np.random.default_rng(SEED + 1)
     out = []
     for n in range(2, 9):
         roots = disk_points(rng, 500 * n).reshape(500, n)
-        U = normal_ops.dft_unitary(n)
-        D = np.zeros((len(roots), n, n), dtype=complex)
-        D[:, range(n), range(n)] = roots
-        _, sub = normal_ops.compression_spectra(U.conj().T @ D @ U, 0)
+        _, sub = normal_ops.compression_spectra(normal_ops.normal_from_roots(roots), 0)
         out.append((roots, sub))
     return out
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import directed_hausdorff
+from .metrics import alpha_distance, directed_hausdorff
 from .poly import Polynomial
 
 WINDOW_MAX = 0.05
@@ -125,8 +125,8 @@ def fit_quadratic_growth(family: str, grid) -> GrowthFit:
 def prop112_perturbation(n: int, eps, kappa: float = 1.0):
     """Perturb the interior zero of z^n - z by eps_1 (others by o(|eps_1|)).
 
-    Returns (Q, lhs, rhs) with lhs the distance from the moved zero to the
-    nearest critical point of Q and rhs the claimed budget
+    Returns (Q, lhs, rhs) with lhs = |Q|_alpha at the moved zero alpha, its
+    distance to the nearest critical point of Q, and rhs the claimed budget
     n^(-1/(n-1)) - cos(pi/(n-1)) |eps_1|.  Callers compare.
     """
     if n < 4:
@@ -141,8 +141,7 @@ def prop112_perturbation(n: int, eps, kappa: float = 1.0):
         raise ValueError("|eps_j| <= |eps_1|^(1+kappa) violated for some j >= 2")
     base = np.r_[0.0 + 0j, np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))]
     Q = Polynomial.from_roots(base + eps)
-    crit = Q.derivative().find_roots().as_array()
-    lhs = float(np.abs(crit - (base[0] + eps[0])).min())
+    lhs = alpha_distance(Q, base[0] + eps[0]).radius
     rhs = float(n ** (-1.0 / (n - 1)) - math.cos(math.pi / (n - 1)) * e1)
     return Q, lhs, rhs
 

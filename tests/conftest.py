@@ -11,7 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
-from polycrit import poly  # noqa: E402
+from polycrit import maximal_zero as mz, poly  # noqa: E402
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("polycrit", derandomize=True, deadline=None, max_examples=60, database=None)
@@ -41,6 +41,43 @@ def disk_points(rng, n, min_sep=0.0, max_mod=1.0):
         np.fill_diagonal(d, np.inf)
         if d.min() > min_sep:
             return arr
+
+
+def horner(coeffs_ascending, z):
+    """Horner's rule started from the leading coefficient: the evaluator
+    Polynomial.__call__ and vanishes_at used before np.polyval."""
+    out = np.full_like(z, coeffs_ascending[-1])
+    for c in coeffs_ascending[-2::-1]:
+        out = out * z + c
+    return out
+
+
+def loop_directed_hausdorff(p):
+    """d(p) zero by zero, as metrics.directed_hausdorff computed it before
+    the nearest-distance kernel: a later zero replaces the witness only
+    when its distance exceeds the current one by more than 1e-12 relative."""
+    crit = p.derivative().find_roots().as_array()
+    best_val = -1.0
+    worst = None
+    for z in p.find_roots().points:
+        m = float(np.abs(crit - z).min())
+        if m > best_val * (1 + 1e-12):
+            best_val = m
+            worst = z
+    return best_val, complex(worst)
+
+
+def reference_polys():
+    """The corpus of the reference-copy tests: seeded disk polynomials of
+    degree 2-64, then tie-heavy symmetric ones: scaled roots of unity,
+    z^n + z, z^n - z and zero-maximal polynomials at three phases."""
+    rng = np.random.default_rng(20241021)
+    polys = [poly.Polynomial.from_roots(poly.disk_points(rng, n)) for n in range(2, 65)]
+    for n in range(2, 17):
+        polys.append(poly.Polynomial.from_roots(roots_of_unity(n, radius=0.8)))
+        polys += [poly.Polynomial((0.0, s) + (0.0,) * (n - 2) + (1.0,)) for s in (1.0, -1.0)]
+        polys += [mz.construct(mz.ZeroMaximalSpec(n=n, theta=t, lam=0.5 * (n % 2))) for t in (0.0, 0.7, np.pi / 3)]
+    return polys
 
 
 def lex_sorted(points) -> list:

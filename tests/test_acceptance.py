@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from polycrit import poly, suite, variation_second
+from polycrit import normal_ops, poly, suite, variation_second
 
 R4 = 4.0 ** (-1.0 / 3.0)  # critical radius of z^4 + z
 
@@ -162,3 +162,33 @@ def test_run_all_certifies_each_distinct_row_once(monkeypatch):
         cached.cache_clear()
     suite.run_all(verbose=False)
     assert rows and len(rows) == len(set(rows))
+
+
+def test_svar_corpus_bytes_match_inline_fourier_build():
+    # the c08/c09 corpus as it was built before normal_from_roots took it
+    # over: U* diag(roots) U formed inline on each degree's stack
+    rng = np.random.default_rng(suite.SEED + 1)
+    for n, (roots, sub) in zip(range(2, 9), suite._svar_corpus()):
+        ref_roots = poly.disk_points(rng, 500 * n).reshape(500, n)
+        U = normal_ops.dft_unitary(n)
+        D = np.zeros((500, n, n), dtype=complex)
+        D[:, range(n), range(n)] = ref_roots
+        _, ref_sub = normal_ops.compression_spectra(U.conj().T @ D @ U, 0)
+        assert roots.tobytes() == ref_roots.tobytes() and sub.tobytes() == ref_sub.tobytes()
+
+
+def test_svar_corpus_builds_through_normal_from_roots(monkeypatch):
+    shapes = []
+    build = normal_ops.normal_from_roots
+
+    def recorded(roots):
+        shapes.append(np.shape(roots))
+        return build(roots)
+
+    monkeypatch.setattr(normal_ops, "normal_from_roots", recorded)
+    suite._svar_corpus.cache_clear()
+    try:
+        suite._svar_corpus()
+    finally:
+        suite._svar_corpus.cache_clear()
+    assert shapes == [(500, n) for n in range(2, 9)]

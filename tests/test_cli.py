@@ -310,6 +310,33 @@ class TestSignedValues:
     def test_option_is_not_swallowed_as_value(self, capsys, quartic_file):
         assert main(["varfirst", "matrices", quartic_file, "--zero", "--emit", "A"]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1e-300", "-1E-3", "-inf", "-nan"])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_signed_tolerance_reaches_the_check(self, capsys, quartic_file, tol, before):
+        # argparse alone reads -1e-300 or -inf as an unknown option and
+        # prints usage to stderr, leaving stdout without a JSON object
+        cmd = ["zeromax", "verify", quartic_file]
+        assert main(["--tol", tol] + cmd if before else cmd + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "--tol must be finite and nonnegative" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["varsecond", "prop112", "--n", "5"], "--eps1", "-1e-3"),
+            (["zeromax", "construct", "--n", "4"], "--theta", "-1e-1"),
+        ],
+    )
+    def test_signed_exponent_value_runs(self, capsys, argv, option, value):
+        code1, rep1 = run(capsys, argv + [option, value])
+        code2, rep2 = run(capsys, argv + [f"{option}={value}"])
+        assert code1 == code2 == 0
+        assert rep1["inputs"][option[2:]] == str(float(value))
+        rep1.pop("duration_ms")
+        rep2.pop("duration_ms")
+        assert rep1 == rep2
+
 
 class TestErrorPaths:
     def test_missing_file_is_exit_two(self, capsys):
@@ -354,6 +381,13 @@ class TestErrorPaths:
     def test_infinite_probe_is_named(self, capsys, quartic_file):
         assert main(["normal", "glweights", quartic_file, "--probes", "2,0;inf"]) == 2
         assert "probe 1 is not finite: (inf+0j)" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("op, alpha", [("dbs", "nan"), ("check", "inf"), ("check", "-inf,0")])
+    def test_non_finite_alpha_is_named(self, capsys, quartic_file, op, alpha):
+        assert main(["major", op, quartic_file, "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == f"alpha is not finite: {parse_complex(alpha)}"
+        assert captured.err == ""
 
     def test_malformed_complex_option_quotes_its_text(self, capsys, quartic_file):
         assert main(["major", "check", quartic_file, "--alpha", "abc"]) == 2

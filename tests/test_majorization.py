@@ -54,6 +54,15 @@ class TestTuples:
         with pytest.raises(ValueError):
             mj.tuple_Z(p, 0.0, 3)
 
+    @pytest.mark.parametrize("alpha", [complex("nan"), complex("inf"), complex(0.5, float("-inf"))])
+    @pytest.mark.parametrize("build", [mj.tuple_W, mj.tuple_Z])
+    def test_non_finite_centre_named(self, build, alpha):
+        # refused before any product is formed, so numpy warns of nothing
+        # (warnings are errors under this suite's settings)
+        with pytest.raises(ValueError, match=r"alpha is not finite: \(") as info:
+            build(power_minus_z(4), alpha, 2)
+        assert str(alpha) in str(info.value)
+
     def test_relabeling_invariance(self, rng):
         roots = disk_points(rng, 5, min_sep=1e-2)
         t1 = mj.tuple_Z(Polynomial.from_roots(roots), 0.2, 2)

@@ -13,7 +13,7 @@ from polycrit.metrics import (
 )
 from polycrit.poly import Polynomial
 
-from conftest import disk_points
+from conftest import disk_points, loop_directed_hausdorff, reference_polys
 
 
 def bottleneck_brute(a, b):
@@ -118,6 +118,13 @@ class TestDirectedHausdorff:
             d, _ = directed_hausdorff(p)
             radii = [alpha_distance(p, z).radius for z in p.find_roots().points]
             assert abs(d - max(radii)) <= 1e-10
+
+
+    def test_bitwise_equal_to_per_zero_loop(self):
+        # (value, witness) of the nearest-distance kernel against the
+        # zero-by-zero loop it replaced, ties included
+        for p in reference_polys():
+            assert repr(directed_hausdorff(p)) == repr(loop_directed_hausdorff(p))
 
 
 class TestDelta:

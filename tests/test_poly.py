@@ -15,7 +15,7 @@ from polycrit.poly import (
     cluster_indices,
 )
 
-from conftest import disk_points, lex_sorted, roots_of_unity, shifted
+from conftest import disk_points, horner, lex_sorted, reference_polys, roots_of_unity, shifted
 
 
 def reconstruction_error(roots: RootSet, p: Polynomial) -> float:
@@ -268,6 +268,44 @@ class TestLejaExpansion:
         assert order[0] == 1 and order[1] in (2, 3) and order[-1] in (2, 3)
 
 
+class TestPolyvalReference:
+    """__call__ and vanishes_at evaluate by np.polyval, bit for bit the
+    Horner loop they replaced (conftest.horner)."""
+
+    @staticmethod
+    def points(p, rng):
+        roots = p.find_roots().as_array()
+        rand = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 10.0 ** rng.uniform(-3, 1, 8)
+        special = np.array([0.0, 1.0, -1.0, 1j, -0.5 - 0.5j, 1e-300, 1e3 + 1e3j])
+        return np.concatenate([roots, rand, special])
+
+    def test_values_bitwise(self):
+        rng = np.random.default_rng(5)
+        for p in reference_polys():
+            c, x = np.array(p.coeffs), self.points(p, rng)
+            assert p(x).tobytes() == horner(c, x).tobytes()
+            assert [repr(p(z)) for z in x[:3]] == [repr(complex(v)) for v in horner(c, x[:3])]
+            # the budget's real evaluation of |c| at |x|
+            ca, xa = np.abs(c), np.abs(x)
+            assert np.polyval(ca[::-1], xa).tobytes() == horner(ca, xa).tobytes()
+
+    def test_vanishes_at_verdicts(self):
+        def reference(p, z):
+            c = np.abs(p.coeffs)
+            n = p.degree
+            rho = max([abs(complex(z))] + [(c[n - k] / c[n]) ** (1.0 / k) for k in range(1, n + 1)])
+            value = horner(np.array(p.coeffs), np.array([complex(z)]))[0]
+            return abs(value) <= 1e-10 * float(horner(c, np.array([rho]))[0])
+
+        rng = np.random.default_rng(6)
+        verdicts = []
+        for p in reference_polys():
+            for z in self.points(p, rng):
+                assert p.vanishes_at(z) == reference(p, z)
+                verdicts.append(p.vanishes_at(z))
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestCertificate:
     """find_roots certifies each point by the backward-error bound
     |p(z)| <= gamma_0 * sum |c_k| |z|^k, a bound relative to the sizes of
@@ -302,7 +340,7 @@ class TestCertificate:
     def test_backward_error_contract(self, rng):
         p = Polynomial.from_roots(disk_points(rng, 24))
         pts = p.find_roots().as_array()
-        terms = poly._horner(np.abs(np.array(p.coeffs)), np.abs(pts))
+        terms = horner(np.abs(np.array(p.coeffs)), np.abs(pts))
         assert np.all(np.abs(p(pts)) <= poly._gamma(p.degree, 0) * terms)
 
     @pytest.mark.parametrize("shift", [1e-6, 1e-9])
@@ -485,8 +523,8 @@ def per_order_taylor(coeffs):
         b = np.full((k + 1, len(x)), poly._TINY)
         for j in range(k + 1):
             row = coeffs[j:] * poly._BINOM[j : n + 1, j]
-            t[j] = poly._horner(row, x)
-            b[j] += poly._gamma(n, j) * poly._horner(np.abs(row), np.abs(x))
+            t[j] = horner(row, x)
+            b[j] += poly._gamma(n, j) * horner(np.abs(row), np.abs(x))
         return t, b
 
     return taylor

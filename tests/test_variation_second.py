@@ -158,6 +158,17 @@ class TestProp112:
         assert lhs > rhs
         assert lhs - rhs <= 2e-4
 
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_lhs_is_the_inline_radius(self, n):
+        # lhs is |Q|_alpha at the moved zero, bit for bit the nearest
+        # critical distance prop112 once computed inline
+        for k in range(8):
+            eps = np.zeros(n, dtype=complex)
+            eps[0] = 1e-3 * np.exp(2j * np.pi * k / 8)
+            Q, lhs, _ = vs.prop112_perturbation(n, eps)
+            crit = Q.derivative().find_roots().as_array()
+            assert repr(lhs) == repr(float(np.abs(crit - eps[0]).min()))
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="n >= 4"):
             vs.prop112_perturbation(3, [1e-3, 0, 0])
