@@ -19,7 +19,7 @@ import numpy as np
 # a fresh process, and importing all of them here cost each command 13-20 ms
 # with cached bytecode and 27-40 ms compiling from source (2-vCPU VM)
 from . import jsonio
-from .poly import Polynomial, disk_points
+from .poly import Polynomial, disk_points, find_roots_batch
 
 
 def parse_complex(text: str) -> complex:
@@ -34,23 +34,36 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_grid(text: str) -> list[float]:
-    """'1e-3:8' -> [k * 1e-3 for k = 1..8]; a comma list is taken verbatim."""
-    if ":" in text:
-        step_s, count_s = text.split(":")
-        step = float(step_s)
-        return [k * step for k in range(1, int(count_s) + 1)]
-    return [float(v) for v in text.split(",")]
+    """'1e-3:8' -> [k * 1e-3 for k = 1..8]; a comma list is taken verbatim.
+    ValueError quotes a malformed text."""
+    try:
+        if ":" in text:
+            step_s, count_s = text.split(":")
+            step = float(step_s)
+            return [k * step for k in range(1, int(count_s) + 1)]
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed grid {text!r}") from None
 
 
 def parse_range(text: str) -> list[int]:
-    """'5..50' -> [5, ..., 50]; single integers pass through.  An empty
-    range (lo > hi) raises ValueError."""
-    if ".." in text:
-        lo, hi = (int(v) for v in text.split(".."))
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """'5..50' -> [5, ..., 50]; single integers pass through.  ValueError
+    quotes a malformed text or an empty range (lo > hi)."""
+    try:
+        lo, hi = (int(v) for v in text.split("..")) if ".." in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"malformed range {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+    return list(range(lo, hi + 1))
+
+
+def _option(name: str, parse, text: str):
+    """parse(text), with a ValueError that names the option name first."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 class _Report:
@@ -100,7 +113,7 @@ def _cmd_metrics(args, rep: _Report, tol: float) -> None:
 def _cmd_varfirst(args, rep: _Report, tol: float) -> None:
     from . import variation_first
     p = jsonio.read_poly(args.poly)
-    a = parse_complex(args.zero)
+    a = _option("--zero", parse_complex, args.zero)
     if args.op == "extensible":
         cert = variation_first.extensibility(p, a)
         rep.outputs = {
@@ -130,13 +143,13 @@ def _cmd_varfirst(args, rep: _Report, tol: float) -> None:
 def _cmd_varsecond(args, rep: _Report, tol: float) -> None:
     from . import variation_second
     if args.op == "fit":
-        grid = parse_grid(args.grid)
+        grid = _option("--grid", parse_grid, args.grid)
         fit = variation_second.fit_quadratic_growth(args.family, grid)
         rep.outputs = {"c2": fit.c2, "c3": fit.c3, "residual": fit.residual, "grid": grid}
     else:
         rows = []
         worst = -np.inf
-        for n in parse_range(args.n):
+        for n in _option("--n", parse_range, args.n):
             if args.op == "prop112":
                 eps = np.zeros(n, dtype=complex)
                 eps[0] = args.eps1 * np.exp(1j * args.phase)
@@ -175,19 +188,17 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
     from . import normal_ops
     if args.op == "svar":
         rng = np.random.default_rng(args.seed)
-        worst = -np.inf
         if args.poly:
             polys = [jsonio.read_poly(args.poly)]
         elif args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
         else:
             polys = [Polynomial.from_roots(disk_points(rng, args.n)) for _ in range(args.trials)]
-        for p in polys:
-            roots = p.find_roots().as_array()
-            A = normal_ops.normal_from_roots(roots)
-            pair = normal_ops.compression_spectrum(A, 0)
-            s = normal_ops.spectral_variation(pair.eig_full, pair.eig_sub)
-            worst = max(worst, s - float(np.abs(roots).max()))
+        find_roots_batch(polys)
+        roots = np.array([p.find_roots().as_array() for p in polys])
+        full, sub = normal_ops.compression_spectra(normal_ops.normal_from_roots(roots), 0)
+        s = normal_ops.spectral_variation(full, sub)
+        worst = float((s - np.abs(roots).max(axis=1)).max())
         rep.outputs = {"max_excess": worst, "trials": len(polys)}
         rep.check("spectral-variation-bound", worst <= 1e-9, worst, 1e-9)
         return
@@ -202,7 +213,7 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
         hull_ok = normal_ops.eigvals_in_hull(pair, tol=1e-8)
         rep.check("subspectrum-in-hull", hull_ok, 0.0 if hull_ok else 1.0, 0.0)
     elif args.op == "glweights":
-        probes = [parse_complex(s) for s in args.probes.split(";")]
+        probes = _option("--probes", lambda text: [parse_complex(s) for s in text.split(";")], args.probes)
         weights, residual = normal_ops.gauss_lucas_weights(A, args.index, probes)
         rep.outputs = {"weights": [float(w) for w in weights], "residual": residual}
         rep.check("weights-sum-to-one", abs(weights.sum() - 1) <= 1e-10, abs(weights.sum() - 1), 1e-10)
@@ -216,7 +227,7 @@ def _cmd_normal(args, rep: _Report, tol: float) -> None:
 def _cmd_major(args, rep: _Report, tol: float) -> None:
     from . import majorization
     p = jsonio.read_poly(args.poly)
-    alpha = parse_complex(args.alpha)
+    alpha = _option("--alpha", parse_complex, args.alpha)
     W = majorization.tuple_W(p, alpha, args.k)
     Z = majorization.tuple_Z(p, alpha, args.k)
     if args.op == "check":
@@ -270,7 +281,7 @@ def _cmd_gen(args, rep: _Report, tol: float) -> None:
             spec = maximal_zero.ZeroMaximalSpec(n=args.n, theta=float(theta), lam=getattr(args, "lambda"))
             emit(f"zero_maximal_n{args.n}_{idx:03d}", maximal_zero.construct(spec))
     elif args.kind == "deg4_family":
-        for idx, a in enumerate(parse_grid(args.grid)):
+        for idx, a in enumerate(_option("--grid", parse_grid, args.grid)):
             emit(f"deg4_family_{idx:03d}", variation_second.family_deg4(a))
     elif args.kind == "roots_grid":
         for idx in range(1, args.count + 1):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, _check_finite
 
 ON_CIRCLE_TOL = 1e-9
 
@@ -63,42 +63,82 @@ def directed_hausdorff(p: Polynomial) -> tuple[float, complex]:
     return float(dists[k]), complex(zeros[k])
 
 
+def _cover(adj: np.ndarray, col_of: np.ndarray) -> bool:
+    """Grow, in place, the matching col_of (the column of each row, -1
+    where unmatched) inside the boolean adjacency adj until it covers
+    every row; False as soon as it cannot.
+
+    Each round searches breadth first, from all unmatched rows at once,
+    for a shortest augmenting path, one layer of columns per step, and
+    flips it; frontier arrays take the place of recursion.  When no path
+    leaves the unmatched rows, the matching is maximum (Berge), so no
+    matching covers every row.
+    """
+    row_of = np.full(adj.shape[1], -1)
+    row_of[col_of[col_of >= 0]] = np.flatnonzero(col_of >= 0)
+    while True:
+        free = col_of < 0
+        if not free.any():
+            return True
+        parent = np.full(len(row_of), -1)  # the row each column was reached from
+        rows = np.flatnonzero(free)
+        while True:
+            hit = adj[rows] & (parent < 0)
+            cols = np.flatnonzero(hit.any(axis=0))
+            if not len(cols):
+                return False
+            parent[cols] = rows[hit[:, cols].argmax(axis=0)]
+            open_ = cols[row_of[cols] < 0]
+            if len(open_):
+                break
+            rows = row_of[cols]
+        j = open_[0]
+        while j >= 0:
+            i = parent[j]
+            j_next = col_of[i]
+            col_of[i], row_of[j] = j, i
+            j = j_next
+
+
 def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     """Injective matching of a into b minimizing the largest pair distance.
 
-    Binary search over the realized pairwise distances; each step asks
-    scipy's Hopcroft-Karp matcher whether the pairs within the candidate
-    distance admit a matching that covers a.  The value is therefore a
-    realized distance, not an accumulated float.  Returns (value,
-    assignment) where assignment[i] is the index in b matched to a[i];
-    an empty a matches at value 0.
+    Binary search over the realized pairwise distances; each probe asks
+    whether the pairs within the candidate distance (plus a slack of
+    1e-15 (1 + max distance)) admit a matching that covers a.  A probe
+    starts from the last matching that covered a, drops its pairs above
+    the candidate and augments from the rows left unmatched (_cover).  The
+    value is therefore a realized distance, not an accumulated float.
+    Returns (value, assignment) where assignment[i] is the index in b
+    matched to a[i]; an empty a matches at value 0.  ValueError names the
+    first non-finite point, and a pair distance that overflows.
     """
-    # imported here so that CLI commands that never match points do not
-    # pay for loading scipy.sparse at start-up
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     A = np.asarray(a, dtype=complex)
     B = np.asarray(b, dtype=complex)
+    _check_finite("first set point", A)
+    _check_finite("second set point", B)
     if len(A) > len(B):
         raise ValueError("first point set must not be larger than second")
     if len(A) == 0:
         return 0.0, []
-    D = np.abs(A[:, None] - B[None, :])
+    with np.errstate(over="ignore"):
+        D = np.abs(A[:, None] - B[None, :])
     cands = np.unique(D)
+    if not np.isfinite(cands[-1]):
+        raise ValueError("a pair distance overflows: the points are too far apart")
     slack = 1e-15 * (1.0 + float(cands[-1]))
-
-    def match(t: float) -> np.ndarray:
-        return maximum_bipartite_matching(csr_array(D <= t + slack), perm_type="column")
-
+    # every pair is within the largest distance: any injection covers a
+    best = np.arange(len(A))
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if (match(cands[mid]) >= 0).all():
-            hi = mid
+        adj = D <= cands[mid] + slack
+        col_of = np.where(adj[np.arange(len(A)), best], best, -1)
+        if _cover(adj, col_of):
+            hi, best = mid, col_of
         else:
             lo = mid + 1
-    return float(cands[lo]), [int(j) for j in match(cands[lo])]
+    return float(cands[lo]), [int(j) for j in best]
 
 
 def delta_distance(p: Polynomial, q: Polynomial) -> float:

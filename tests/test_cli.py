@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polycrit
-from polycrit import lp, majorization, maximal_zero, variation_first
+from polycrit import lp, majorization, maximal_zero, normal_ops, variation_first
 from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
 from polycrit.metrics import bottleneck_assignment
@@ -195,6 +195,23 @@ class TestCommands:
         assert code == 0
         assert rep["outputs"]["trials"] == 25
         assert rep["checks"][0]["pass"]
+
+    @pytest.mark.parametrize("n, trials, seed", [(6, 200, 0), (4, 25, 9), (5, 100, 0), (12, 300, 3)])
+    def test_normal_svar_is_one_stack(self, capsys, monkeypatch, n, trials, seed):
+        # the per-trial loop the stacked command replaced
+        rng = np.random.default_rng(seed)
+        worst = -np.inf
+        for _ in range(trials):
+            roots = Polynomial.from_roots(disk_points(rng, n)).find_roots().as_array()
+            pair = normal_ops.compression_spectrum(normal_ops.normal_from_roots(roots), 0)
+            s = normal_ops.spectral_variation(pair.eig_full, pair.eig_sub)
+            worst = max(worst, s - float(np.abs(roots).max()))
+        calls = []
+        spectra = normal_ops.compression_spectra
+        monkeypatch.setattr(normal_ops, "compression_spectra", lambda *a: calls.append(a) or spectra(*a))
+        code, rep = run(capsys, ["normal", "svar", "--n", str(n), "--trials", str(trials), "--seed", str(seed)])
+        assert code == 0 and repr(rep["outputs"]["max_excess"]) == repr(worst)
+        assert len(calls) == 1 and calls[0][0].shape == (trials, n, n)
 
     def test_normal_svar_single_polynomial(self, capsys, quartic_file):
         code, rep = run(capsys, ["normal", "svar", quartic_file])
@@ -393,6 +410,25 @@ class TestErrorPaths:
         assert main(["major", "check", quartic_file, "--alpha", "abc"]) == 2
         assert "'abc'" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, option, text",
+        [
+            (["varsecond", "fit", "--family", "deg4", "--grid", "abc"], "--grid", "abc"),
+            (["varsecond", "fit", "--family", "deg4", "--grid", "1e-3:x"], "--grid", "1e-3:x"),
+            (["gen", "--kind", "deg4_family", "--grid", "1e-3:2:3", "--out", "{tmp}"], "--grid", "1e-3:2:3"),
+            (["varsecond", "prop113", "--n", "5..x"], "--n", "5..x"),
+            (["varsecond", "prop112", "--n", "six"], "--n", "six"),
+            (["varfirst", "extensible", "{p}", "--zero", "1+2k"], "--zero", "1+2k"),
+            (["normal", "glweights", "{p}", "--probes", "2,0;x"], "--probes", "x"),
+            (["major", "dbs", "{p}", "--alpha", "abc"], "--alpha", "abc"),
+        ],
+        ids=["fit-grid", "fit-grid-count", "gen-grid", "range", "degree", "zero", "probes", "alpha"],
+    )
+    def test_parse_error_names_its_option(self, capsys, tmp_path, quartic_file, argv, option, text):
+        assert main([a.format(p=quartic_file, tmp=tmp_path) for a in argv]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith(f"{option}: ") and repr(text) in error
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-0.5"])
     @pytest.mark.parametrize("before", [True, False])
     def test_bad_tolerance_is_exit_two(self, capsys, quartic_file, tol, before):
@@ -436,9 +472,9 @@ class TestStartup:
         return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
     def test_cli_import_leaves_sparse_and_optimize_unloaded(self):
-        # every CLI command is a cold process; scipy.sparse (csgraph),
-        # scipy.optimize and scipy.linalg (the Schur form) are imported
-        # inside the functions that need them
+        # every CLI command is a cold process; scipy.linalg (the Schur
+        # form, dgelsy) is imported inside the functions that need it, and
+        # nothing imports scipy.sparse or scipy.optimize
         assert self._loaded("import sys, polycrit.cli", ("scipy.sparse", "scipy.optimize", "scipy.linalg")) == []
 
     def test_cli_import_leaves_layer_modules_unloaded(self):
@@ -472,6 +508,24 @@ class TestStartup:
         loaded = self._loaded(f"import sys; from polycrit.cli import main; assert main({argv!r}) == 0", ("polycrit.",))
         base = {"cli", "jsonio", "poly", "metrics", "lp"}
         assert set(loaded) == {f"polycrit.{m}" for m in base.union(layers)}
+
+    def test_matching_and_fit_commands_load_no_scipy(self, tmp_path):
+        # Delta's bottleneck matching runs on numpy alone; these commands
+        # need no Schur form and no LP, so they never pay for scipy
+        p, q = str(tmp_path / "p.json"), str(tmp_path / "q.json")
+        roots = [0.5, -0.3 + 0.4j, 0.1j, -0.6, 0.2 - 0.5j, 0.7j, -0.1 - 0.2j]
+        write_poly(p, Polynomial.from_roots(roots))
+        write_poly(q, Polynomial.from_roots([0.51] + roots[1:]))
+        z = str(tmp_path / "z.json")
+        write_poly(z, maximal_zero.construct(maximal_zero.ZeroMaximalSpec(n=5)))
+        commands = [
+            ["metrics", "d", p],
+            ["metrics", "delta", p, q],
+            ["zeromax", "verify", z],
+            ["varsecond", "fit", "--family", "deg4", "--grid", "1e-3:8"],
+        ]
+        code = f"import sys; from polycrit.cli import main; assert all(main(a) == 0 for a in {commands!r})"
+        assert self._loaded(code, ("scipy",)) == []
 
     def test_package_import_leaves_scipy_unloaded(self):
         # a cold scipy.linalg import costs 240-330 ms on a 2-vCPU VM; the

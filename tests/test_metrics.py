@@ -1,8 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from polycrit.metrics import (
     alpha_distance,
@@ -27,15 +30,47 @@ def bottleneck_brute(a, b):
     )
 
 
-def bottleneck_lsa(a, b):
+def bottleneck_lsa(a, b, slack=0.0):
     """Smallest realized distance t at which the 0/1 assignment problem
-    with cost [|a_i - b_j| > t] reaches cost 0 (scipy's Hungarian solver)."""
+    with cost [|a_i - b_j| > t + slack] reaches cost 0 (scipy's Hungarian
+    solver)."""
     D = np.abs(np.subtract.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
     for t in np.unique(D):
-        rows, cols = linear_sum_assignment(D > t)
-        if not (D[rows, cols] > t).any():
+        rows, cols = linear_sum_assignment(D > t + slack)
+        if not (D[rows, cols] > t + slack).any():
             return float(t)
     raise AssertionError("no threshold admits a full assignment")
+
+
+def bottleneck_hopcroft_karp(a, b):
+    """The same binary search over realized distances, with the same slack,
+    where each probe asks scipy's Hopcroft-Karp matcher for a matching that
+    covers a."""
+    D = np.abs(np.subtract.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    cands = np.unique(D)
+    slack = 1e-15 * (1.0 + float(cands[-1]))
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (maximum_bipartite_matching(csr_array(D <= cands[mid] + slack), perm_type="column") >= 0).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cands[lo])
+
+
+def assert_matches_oracles(a, b) -> float:
+    """bottleneck_assignment's value and assignment against both oracles
+    at the kernel's float slack; returns the value."""
+    value, assignment = bottleneck_assignment(a, b)
+    slack = 1e-15 * (1.0 + np.abs(np.subtract.outer(a, b)).max())
+    assert value == bottleneck_lsa(a, b, slack)
+    assert repr(value) == repr(bottleneck_hopcroft_karp(a, b))
+    assert len(assignment) == len(a) and len(set(assignment)) == len(a)
+    assert all(0 <= j < len(b) for j in assignment)
+    # the matching may use a pair within the slack above the value
+    assert max(abs(a[i] - b[j]) for i, j in enumerate(assignment)) <= value + slack
+    return value
 
 
 def power_minus_z(n):
@@ -164,13 +199,43 @@ class TestDelta:
         for _ in range(3):
             a = np.tile(disk_points(rng, n_a // repeats), repeats)
             b = np.tile(disk_points(rng, n_b // repeats), repeats)
-            value, assignment = bottleneck_assignment(a, b)
-            assert value == bottleneck_lsa(a, b)
-            assert len(assignment) == len(a) and len(set(assignment)) == len(a)
-            assert all(0 <= j < len(b) for j in assignment)
-            # the matching may use a pair within the kernel's float slack above the value
-            slack = 1e-15 * (1.0 + np.abs(np.subtract.outer(a, b)).max())
-            assert max(abs(a[i] - b[j]) for i, j in enumerate(assignment)) <= value + slack
+            assert assert_matches_oracles(a, b) == bottleneck_lsa(a, b)
+
+    @pytest.mark.parametrize("geometry", ["rotated-unity", "four-fold-clusters", "twenty-into-sixty-four"])
+    def test_assignment_matches_oracles_at_64(self, rng, geometry):
+        n = 64
+        if geometry == "rotated-unity":
+            # every point ties with two neighbours at the value
+            a = np.exp(2j * np.pi * np.arange(n) / n)
+            b = a * np.exp(1j * np.pi / n)
+        elif geometry == "four-fold-clusters":
+            centres = np.repeat(disk_points(rng, n // 4), 4)
+            a = centres + 1e-9 * disk_points(rng, n)
+            b = rng.permutation(centres) + 1e-9 * disk_points(rng, n)
+        else:
+            a, b = disk_points(rng, 20), disk_points(rng, n)
+        value = assert_matches_oracles(a, b)
+        # within the slack of the exact bottleneck, which the ties can reach
+        assert value <= bottleneck_lsa(a, b) <= value + 1e-15 * (1.0 + np.abs(np.subtract.outer(a, b)).max())
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([0, np.nan], [0, 1], "first set point 1 is not finite: (nan+0j)"),
+            ([0, 1], [0, np.inf], "second set point 1 is not finite: (inf+0j)"),
+            ([complex(0, -np.inf)], [0, 1], "first set point 0 is not finite: -infj"),
+        ],
+        ids=["nan-in-a", "inf-in-b", "imaginary-inf-in-a"],
+    )
+    def test_non_finite_point_is_named(self, a, b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bottleneck_assignment(a, b)
+
+    def test_overflowing_distance_is_refused(self):
+        # |1e308 - (-1e308)| is not a float; an infinite slack would
+        # admit every pair at every threshold
+        with pytest.raises(ValueError, match="overflows"):
+            bottleneck_assignment([0, 1e308], [0, -1e308])
 
     def test_assignment_of_repeated_points_to_themselves(self, rng):
         a = np.repeat(disk_points(rng, 4), 3)
