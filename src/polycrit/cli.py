@@ -147,9 +147,15 @@ def _cmd_varsecond(args, rep: _Report, tol: float) -> None:
         fit = variation_second.fit_quadratic_growth(args.family, grid)
         rep.outputs = {"c2": fit.c2, "c3": fit.c3, "residual": fit.residual, "grid": grid}
     else:
+        ns = _option("--n", parse_range, args.n)
+        least = variation_second.PROP112_MIN_N if args.op == "prop112" else variation_second.PROP113_MIN_N
+        if ns[0] < least:
+            raise ValueError(f"--n: n >= {least} required, got {ns[0]} in {args.n!r}")
+        if args.op == "prop112" and not abs(args.eps1) <= variation_second.EPS1_MAX:
+            raise ValueError(f"--eps1: |eps_1| <= {variation_second.EPS1_MAX:g} required, got {args.eps1!r}")
         rows = []
         worst = -np.inf
-        for n in _option("--n", parse_range, args.n):
+        for n in ns:
             if args.op == "prop112":
                 eps = np.zeros(n, dtype=complex)
                 eps[0] = args.eps1 * np.exp(1j * args.phase)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,32 +81,35 @@ class FeasibilityCertificate:
         return self.margin > self.gate if self.verdict is Verdict.STRICTLY_FEASIBLE else self.margin <= self.gate
 
 
-@cache
-def _lapack():
-    from scipy.linalg import lapack  # on first use: import polycrit loads numpy only
-    return lapack
+@lru_cache(maxsize=4096)
+def _gelsy(m: int, n: int):
+    """Least squares on m x n blocks: dgelsy bound once per shape, with its
+    workspace size for one right-hand side; the 4096 most recent shapes are
+    kept.  scipy.linalg.lapack is imported here, on first use, so that
+    import polycrit loads numpy only."""
+    from scipy.linalg import lapack
 
+    dgelsy, lwork, rows = lapack.dgelsy, int(lapack.dgelsy_lwork(m, n, 1, _EPS)[0]), max(m, n)
 
-@cache
-def _gelsy_lwork(m: int, n: int) -> int:
-    """dgelsy's workspace size for an m x n block and one right-hand side."""
-    return int(_lapack().dgelsy_lwork(m, n, 1, _EPS)[0])
+    def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((rows, 1))
+        rhs[:m, 0] = b
+        # positional: (a, b, jpvt, cond, lwork, overwrite_a, overwrite_b)
+        _, z, _, _, info = dgelsy(A, rhs, np.zeros(n, dtype=np.int32), _EPS, lwork, 1, 1)
+        if info != 0:
+            raise ValueError(f"lstsq: dgelsy returned info = {info}")
+        return z[:n, 0]
+
+    return solve
 
 
 def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares solution of A z = b by LAPACK's complete orthogonal
     factorisation (dgelsy) at rcond eps, the gelsy path of scipy.linalg.lstsq
-    without its wrapper's per-call overhead.  A is scratch: dgelsy
-    factorises a Fortran-ordered A in place instead of copying it."""
-    m, n = A.shape
-    rhs = np.zeros((max(m, n), 1))
-    rhs[:m, 0] = b
-    _, z, _, _, info = _lapack().dgelsy(
-        A, rhs, np.zeros(n, dtype=np.int32), _EPS, _gelsy_lwork(m, n), overwrite_a=1, overwrite_b=1
-    )
-    if info != 0:
-        raise ValueError(f"lstsq: dgelsy returned info = {info}")
-    return z[:n, 0]
+    without its wrapper's per-call overhead: one lookup of the solver
+    bound to A's shape (_gelsy).  A is scratch: dgelsy factorises a
+    Fortran-ordered A in place instead of copying it."""
+    return _gelsy(*A.shape)(A, b)
 
 
 def _passive_solve(columns: np.ndarray, P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

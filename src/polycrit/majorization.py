@@ -8,7 +8,6 @@ the nonnegative equality kernel, treating C as R^2.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lp import eq_nonneg_feasibility
-from .poly import Polynomial
+from .poly import _BINOM, Polynomial, _blocks, _expand_roots
 
 TUPLE_CAP = 10_000
 CERT_TOL = 1e-7
@@ -65,19 +64,41 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
 
+def _check_centres(p: Polynomial, alpha, k) -> None:
+    """ValueError unless every order k lies in 1..deg p - 1 and every
+    centre alpha is finite, naming the first centre that is not."""
+    if not np.all((1 <= np.asarray(k)) & (np.asarray(k) <= p.degree - 1)):
+        raise ValueError("k must satisfy 1 <= k <= n-1")
+    alpha = np.ravel(np.asarray(alpha, dtype=complex))
+    bad = ~np.isfinite(alpha)
+    if bad.any():
+        raise ValueError(f"alpha is not finite: {complex(alpha[bad][0])}")
+
+
 def _products(p: Polynomial, q: Polynomial, alpha: complex, k: int) -> np.ndarray:
     """All k-subset products of (roots of q - alpha), 1 <= k <= deg p - 1;
     a centre alpha that is not finite raises ValueError naming it."""
-    if not 1 <= k <= p.degree - 1:
-        raise ValueError("k must satisfy 1 <= k <= n-1")
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha is not finite: {complex(alpha)}")
+    _check_centres(p, alpha, k)
     pts = np.asarray(q.find_roots().points, dtype=complex) - complex(alpha)
     n = len(pts)
     count = math.comb(n, k)
     if count > TUPLE_CAP:
         raise ValueError(f"combinatorial blowup: C({n},{k}) = {count} exceeds cap {TUPLE_CAP}")
     return np.prod(pts[_subsets(n, k)], axis=1)
+
+
+def _subset_means(points: np.ndarray, alpha: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mean of the k-subset products of (points - alpha) for each pair of
+    a centre and an order, alpha and k (m,): e_k / C(n, k) of the shifted
+    points (Vieta), read off the ascending coefficients
+    prod (z - w_i) = sum_j (-1)^(n-j) e_(n-j) z^j of one Leja expansion
+    (poly._expand_roots) per centre, in the blocks of poly._blocks."""
+    n = len(points)
+    e = np.empty(len(alpha), dtype=complex)
+    for s in _blocks(len(alpha), (n + 1) ** 2):  # the Leja scores take n^2 per centre
+        c = _expand_roots(points - alpha[s, None])
+        e[s] = c[np.arange(len(c)), n - k[s]]
+    return e * (-1.0) ** k / _BINOM[n, k]
 
 
 def tuple_Z(p: Polynomial, alpha: complex, k: int) -> ProductTuple:
@@ -167,12 +188,21 @@ def dbs_inequality(X: ProductTuple, Y: ProductTuple, f_id: str) -> tuple[float, 
     return lhs, rhs
 
 
-def symmetric_mean_identity(p: Polynomial, alpha: complex, k: int) -> float:
-    """|mean of W(alpha,k) - mean of Z(alpha,k)|.
+def symmetric_mean_identity(p: Polynomial, alpha, k):
+    """|mean of W(alpha, k) - mean of Z(alpha, k)| for each pair of a
+    centre alpha and an order k, broadcast together: a float for scalars,
+    an array of the broadcast shape otherwise.
 
+    Both means come by Vieta (_subset_means) from the certified zeros and
+    critical points, find_roots() of p and p', never from p's
+    coefficients, so no product table is formed and no TUPLE_CAP applies.
     Vanishes identically when the critical points really are the
     derivative's roots; a corrupted critical set breaks it at first order.
     """
-    w_mean = _products(p, p.derivative(), alpha, k).mean()
-    z_mean = _products(p, p, alpha, k).mean()
-    return abs(complex(w_mean) - complex(z_mean))
+    _check_centres(p, alpha, k)
+    alpha, k = np.broadcast_arrays(np.asarray(alpha, dtype=complex), np.asarray(k))
+    flat = alpha.ravel(), k.ravel()
+    w_mean = _subset_means(p.derivative().find_roots().as_array(), *flat)
+    z_mean = _subset_means(p.find_roots().as_array(), *flat)
+    out = np.abs(w_mean - z_mean).reshape(alpha.shape)
+    return float(out) if out.ndim == 0 else out

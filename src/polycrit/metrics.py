@@ -100,18 +100,49 @@ def _cover(adj: np.ndarray, col_of: np.ndarray) -> bool:
             j = j_next
 
 
+def _greedy(D: np.ndarray) -> np.ndarray:
+    """The greedy matching of the rows of D into its columns (rows <=
+    columns): the pairs in ascending distance, ties in row-major order,
+    each taken when its row and its column are both still free.  Returns
+    the column of each row.
+
+    It is built in rounds of locally dominant pairs, each the first
+    nearest free column of its row and that column's first nearest free
+    row.  Such a pair comes before every other pair of its row or column
+    in the greedy order, so the greedy takes it too; and the first pair in
+    that order among the free rows and columns is one, so each round takes
+    at least one pair.
+    """
+    W = D.copy()
+    col_of = np.full(len(D), -1)
+    free = np.arange(len(D))
+    while len(free):
+        j = W[free].argmin(axis=1)
+        dominant = W[:, j].argmin(axis=0) == free
+        col_of[free[dominant]] = j[dominant]
+        W[free[dominant]] = np.inf
+        W[:, j[dominant]] = np.inf
+        free = free[~dominant]
+    return col_of
+
+
 def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     """Injective matching of a into b minimizing the largest pair distance.
 
     Binary search over the realized pairwise distances; each probe asks
     whether the pairs within the candidate distance (plus a slack of
-    1e-15 (1 + max distance)) admit a matching that covers a.  A probe
-    starts from the last matching that covered a, drops its pairs above
-    the candidate and augments from the rows left unmatched (_cover).  The
-    value is therefore a realized distance, not an accumulated float.
-    Returns (value, assignment) where assignment[i] is the index in b
-    matched to a[i]; an empty a matches at value 0.  ValueError names the
-    first non-finite point, and a pair distance that overflows.
+    1e-15 (1 + max distance)) admit a matching that covers a.  The search
+    starts between two bounds: below, every point of a needs a partner
+    within the candidate, so no candidate under the largest
+    nearest-neighbour distance can cover a; above, the greedy matching on
+    the sorted distances (_greedy) covers a within its own largest pair.
+    A probe starts from the last matching that covered a, the greedy one
+    first, drops its pairs above the candidate and augments from the rows
+    left unmatched (_cover).  The value is therefore a realized distance,
+    not an accumulated float.  Returns (value, assignment) where
+    assignment[i] is the index in b matched to a[i]; an empty a matches at
+    value 0.  ValueError names the first non-finite point, and a pair
+    distance that overflows.
     """
     A = np.asarray(a, dtype=complex)
     B = np.asarray(b, dtype=complex)
@@ -127,13 +158,15 @@ def bottleneck_assignment(a, b) -> tuple[float, list[int]]:
     if not np.isfinite(cands[-1]):
         raise ValueError("a pair distance overflows: the points are too far apart")
     slack = 1e-15 * (1.0 + float(cands[-1]))
-    # every pair is within the largest distance: any injection covers a
-    best = np.arange(len(A))
-    lo, hi = 0, len(cands) - 1
+    best = _greedy(D)
+    rows = np.arange(len(A))
+    # the probe at index t passes only if cands[t] + slack reaches every row's nearest distance
+    lo = int(np.searchsorted(cands + slack, D.min(axis=1).max()))
+    hi = int(np.searchsorted(cands, D[rows, best].max()))
     while lo < hi:
         mid = (lo + hi) // 2
         adj = D <= cands[mid] + slack
-        col_of = np.where(adj[np.arange(len(A)), best], best, -1)
+        col_of = np.where(adj[rows, best], best, -1)
         if _cover(adj, col_of):
             hi, best = mid, col_of
         else:

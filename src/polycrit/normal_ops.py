@@ -466,7 +466,7 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     return weights, float(worst)
 
 
-def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
+def interlace_ratios(A, i):
     """Nonnegative ratios generalizing Cauchy interlacing to normal matrices.
 
     For each distinct eigenvalue z_k (multiplicity n_k, clustered at
@@ -479,31 +479,63 @@ def interlace_ratios(A: NormalMatrix, i: int) -> np.ndarray:
     so one of them counts as free and its ratio is 0.  Distinct
     eigenvalues closer than 10 INTERLACE_TOL max |lambda| raise
     ValueError, so the ratios of s A are those of A.
+
+    A is a NormalMatrix, with one index i, and gives one array of ratios;
+    or a stack (k, n, n) of normal matrices of one order, with one index
+    for all or one per matrix, and gives a list of k arrays (their lengths
+    are the numbers of distinct eigenvalues), each bit for bit that of its
+    matrix alone.  The stack goes as compression_spectra's does: a
+    normality check and one Schur form per matrix, in the blocks of
+    poly._blocks, then clustering, free zeros and ratios over the rows
+    with the same number of distinct eigenvalues.  The checks go step by
+    step over a block, the gray zone of every matrix before the ratios of
+    any, and each raises the error of the first matrix that fails it.
     """
-    _check_index("interlace_ratios", A.n, i)
-    lam, Z = _orthonormal_eigenbasis(A.entries)
-    [(_, mu, _, W)] = _parent_clusters(lam[None], Z[None], i, INTERLACE_TOL)
-    centers = mu[0]
-    m = len(centers)
-    # a gap barely above the clustering scale cannot be reliably told
-    # apart from a multiplicity, so refuse the gray zone
-    gap = 10 * INTERLACE_TOL * float(_spectral_scale(lam))
-    near = [g for g in cluster_indices(centers, gap) if len(g) > 1]
-    if near:
-        raise ValueError(
-            f"clustering ambiguity: distinct eigenvalues {centers[near[0]]} "
-            f"closer than {gap:.1e}"
-        )
-    free = _free_zeros(mu, W)[0]
-    out = np.empty(m)
-    for k, zk in enumerate(centers):
-        num = np.prod(free - zk)
-        den = np.prod(np.delete(centers, k) - zk)
-        val = complex(num) / complex(den)
-        if abs(val.imag) > 1e-8 * (1.0 + abs(val)):
-            raise ValueError(f"ratio not numerically real: {val}")
-        out[k] = val.real
+    if isinstance(A, NormalMatrix):
+        _check_index("interlace_ratios", A.n, i)
+        return interlace_ratios(A.entries[None], i)[0]
+    As = np.asarray(A, dtype=complex)
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise ValueError("stack of square matrices (k, n, n) required")
+    k, n = As.shape[:2]
+    _check_index("interlace_ratios", n, i)
+    i = np.broadcast_to(i, k)
+    out: list = [None] * k
+    for s in poly._blocks(k, n * n):
+        _normality_residuals(As[s])
+        lam, Z = _orthonormal_eigenbasis(As[s])
+        groups = _parent_clusters(lam, Z, i[s], INTERLACE_TOL)
+        # a gap barely above the clustering scale cannot be reliably told
+        # apart from a multiplicity, so refuse the gray zone
+        gap = 10 * INTERLACE_TOL * _spectral_scale(lam)
+        errors = {}
+        for rows, mu, _, _ in groups:
+            d = np.abs(mu[:, :, None] - mu[:, None, :])
+            d[:, range(mu.shape[1]), range(mu.shape[1])] = np.inf
+            for r in (d < gap[rows, None, None]).any(axis=(1, 2)).nonzero()[0]:
+                near = [g for g in cluster_indices(mu[r], gap[rows[r]]) if len(g) > 1]
+                if near:
+                    errors[rows[r]] = ValueError(
+                        f"clustering ambiguity: distinct eigenvalues {mu[r][near[0]]} closer than {gap[rows[r]]:.1e}"
+                    )
+        _raise_first(errors)
+        for rows, mu, _, W in groups:
+            den = mu[:, None, :] - mu[:, :, None]
+            den[:, range(mu.shape[1]), range(mu.shape[1])] = 1.0
+            val = np.prod(_free_zeros(mu, W)[:, None, :] - mu[:, :, None], axis=-1) / np.prod(den, axis=-1)
+            unreal = np.abs(val.imag) > 1e-8 * (1.0 + np.abs(val))
+            for r in unreal.any(axis=1).nonzero()[0]:
+                errors[rows[r]] = ValueError(f"ratio not numerically real: {complex(val[r][unreal[r]][0])}")
+            for r, v in zip(rows, val.real):
+                out[s.start + r] = v
+        _raise_first(errors)
     return out
+
+
+def _raise_first(errors: dict) -> None:
+    """Raise the error of the first row, if any, of {row: ValueError}."""
+    if errors:
+        raise errors[min(errors)]
 
 
 def eigvals_in_hull(pair: SpectrumPair, tol: float = 1e-8) -> bool:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 LEADING_TOL = 1e-14
 MAX_DEGREE = 64
@@ -149,29 +150,48 @@ def aberth_roots(coeffs) -> np.ndarray:
 
 
 def _leja_order(points: np.ndarray) -> np.ndarray:
-    """Leja ordering: the point of largest modulus first, then each next
-    point maximises the product of its distances to those already taken."""
-    n = len(points)
-    order = np.empty(n, dtype=int)
-    score = np.zeros(n)
-    k = int(np.argmax(np.abs(points)))
+    """Leja ordering of each row of a stack (k, n), 1-D being one row: the
+    point of largest modulus first, then each next point maximises the
+    product of its distances to those already taken.  The scores are sums
+    of log distances, added elementwise in the order a row alone adds
+    them, so each row gets the order of a call on it alone."""
+    pts = np.atleast_2d(points)
+    k, n = pts.shape
+    rows = np.arange(k)
+    # log |p_a - p_j| at [r, j, a], -inf at a = j: adding row j retires point j
+    logd = np.log(np.maximum(np.abs(pts[:, None, :] - pts[:, :, None]), _TINY))
+    logd.reshape(k, n * n)[:, :: n + 1] = -np.inf
+    order = np.empty((n, k), dtype=int)
+    score = np.zeros((k, n))
+    j = np.abs(pts).argmax(axis=1)
     for i in range(n):
-        order[i] = k
-        score += np.log(np.maximum(np.abs(points - points[k]), _TINY))
-        score[k] = -np.inf
-        k = int(np.argmax(score))
-    return order
+        order[i] = j
+        score += logd[rows, j]
+        j = score.argmax(axis=1)
+    return order.T.reshape(np.shape(points))
 
 
 def _expand_roots(points) -> np.ndarray:
-    """Ascending coefficients of prod (z - p_i), by incremental convolution
-    in Leja order (Reichel, BIT 1990), which keeps the partial products
-    well scaled up to the degree cap."""
+    """Ascending coefficients of prod (z - p_i) for each row of a stack of
+    points (k, n), (k, n + 1), 1-D being one row: incremental convolution
+    in each row's Leja order (Reichel, BIT 1990), which keeps the partial
+    products well scaled up to the degree cap.  Each step is one matmul of
+    the windows (c_(j-1), c_j) on (1, -p), a stack of length-2 dot
+    products, which round as np.convolve(c, [-p, 1]) does, so each row
+    gets bit for bit the coefficients of that convolution chain.  A stack
+    takes (k, n, n) floats for the Leja scores."""
     pts = np.asarray(points, dtype=complex)
-    c = np.array([1.0 + 0j])
-    for p in pts[_leja_order(pts)]:
-        c = np.convolve(c, np.array([-p, 1.0 + 0j]))
-    return c
+    stack = np.atleast_2d(pts)
+    k, n = stack.shape
+    taps = np.ones((n, k, 1, 2, 1), dtype=complex)  # step m: (1, -p) for the m-th point in Leja order
+    taps[:, :, 0, 1, 0] = -stack[np.arange(k)[:, None], _leja_order(stack)].T
+    buf = np.zeros((k, n + 2), dtype=complex)  # 0, c_0, ..., c_n
+    buf[:, 1] = 1.0
+    item = buf.itemsize  # windows[r, j] = (c_(j-1), c_j), a read-only view of buf
+    windows = as_strided(buf, (k, n + 1, 1, 2), (buf.strides[0], item, 0, item), writeable=False)
+    for m in range(1, n + 1):
+        buf[:, 1 : m + 2] = (windows[:, : m + 1] @ taps[m - 1])[..., 0, 0]
+    return buf[:, 1:].reshape(pts.shape[:-1] + (n + 1,))
 
 
 def _poly_taylor(coeffs: np.ndarray):

@@ -15,6 +15,9 @@ from .metrics import alpha_distance, directed_hausdorff
 from .poly import Polynomial
 
 WINDOW_MAX = 0.05
+PROP112_MIN_N = 4  # prop112_perturbation needs n >= 4
+PROP113_MIN_N = 5  # prop113_inequality needs n >= 5
+EPS1_MAX = 1e-2  # prop112_perturbation needs |eps_1| <= EPS1_MAX
 
 
 @dataclass(frozen=True)
@@ -129,14 +132,14 @@ def prop112_perturbation(n: int, eps, kappa: float = 1.0):
     distance to the nearest critical point of Q, and rhs the claimed budget
     n^(-1/(n-1)) - cos(pi/(n-1)) |eps_1|.  Callers compare.
     """
-    if n < 4:
-        raise ValueError("n >= 4 required")
+    if n < PROP112_MIN_N:
+        raise ValueError(f"n >= {PROP112_MIN_N} required, got {n}")
     eps = np.asarray(eps, dtype=complex)
     if len(eps) != n:
         raise ValueError("eps must have length n")
     e1 = abs(eps[0])
-    if e1 > 1e-2:
-        raise ValueError("|eps_1| <= 1e-2 required")
+    if not e1 <= EPS1_MAX:
+        raise ValueError(f"|eps_1| <= {EPS1_MAX:g} required, got {float(e1)!r}")
     if np.any(np.abs(eps[1:]) > e1 ** (1.0 + kappa) + 1e-300):
         raise ValueError("|eps_j| <= |eps_1|^(1+kappa) violated for some j >= 2")
     base = np.r_[0.0 + 0j, np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))]
@@ -148,8 +151,8 @@ def prop112_perturbation(n: int, eps, kappa: float = 1.0):
 
 def prop113_inequality(n: int) -> tuple[float, float]:
     """lhs = sin(pi/(2(n-1)))/sin(pi/n) against rhs = n^(-1/(n-1))."""
-    if n < 5:
-        raise ValueError("n >= 5 required")
+    if n < PROP113_MIN_N:
+        raise ValueError(f"n >= {PROP113_MIN_N} required, got {n}")
     lhs = math.sin(math.pi / (2.0 * (n - 1))) / math.sin(math.pi / n)
     rhs = n ** (-1.0 / (n - 1))
     return lhs, rhs

@@ -429,6 +429,23 @@ class TestErrorPaths:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error.startswith(f"{option}: ") and repr(text) in error
 
+    @pytest.mark.parametrize(
+        "argv, option, value, text",
+        [
+            (["varsecond", "prop113", "--n", "4..6"], "--n", "got 4", "'4..6'"),
+            (["varsecond", "prop113", "--n", "3"], "--n", "got 3", "'3'"),
+            (["varsecond", "prop112", "--n", "3..5"], "--n", "got 3", "'3..5'"),
+            (["varsecond", "prop112", "--n", "4", "--eps1", "0.1"], "--eps1", "0.01", "0.1"),
+            (["varsecond", "prop112", "--n", "4", "--eps1", "-0.5"], "--eps1", "0.01", "-0.5"),
+            (["varsecond", "prop112", "--n", "4", "--eps1", "nan"], "--eps1", "0.01", "nan"),
+        ],
+        ids=["prop113-range", "prop113-degree", "prop112-range", "eps1", "eps1-negative", "eps1-nan"],
+    )
+    def test_range_error_names_its_option(self, capsys, argv, option, value, text):
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith(f"{option}: ") and value in error and error.endswith(text)
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-0.5"])
     @pytest.mark.parametrize("before", [True, False])
     def test_bad_tolerance_is_exit_two(self, capsys, quartic_file, tol, before):
@@ -531,6 +548,13 @@ class TestStartup:
         # a cold scipy.linalg import costs 240-330 ms on a 2-vCPU VM; the
         # library functions that need scipy import it themselves
         assert self._loaded("import sys, polycrit, polycrit.jsonio, polycrit.maximal_zero", ("scipy",)) == []
+
+    def test_layer_imports_leave_scipy_unloaded(self):
+        # lp binds dgelsy and normal_ops takes zgees on first use; a
+        # module-level scipy.linalg import would add about 0.2 s to every
+        # cold command and to the desk's set-up
+        code = "import sys, polycrit.suite, polycrit.lp, polycrit.majorization, polycrit.normal_ops"
+        assert self._loaded(code, ("scipy",)) == []
 
     def test_lp_calls_leave_optimize_unloaded(self):
         # scipy.optimize adds about 19 MB of peak RSS to any process that

@@ -1,5 +1,8 @@
+import itertools
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +11,8 @@ from polycrit.poly import Polynomial
 from polycrit import majorization as mj, poly, suite
 
 from conftest import disk_points
+
+EPS = float(np.finfo(float).eps)
 
 
 def power_minus_z(n):
@@ -222,6 +227,8 @@ class TestSymmetricMeanIdentity:
                     assert mj.symmetric_mean_identity(p, alpha, k) <= 1e-9
 
     def test_equals_the_means_of_the_tuples(self, rng):
+        # the Vieta means against the means of the product tuples, to the
+        # rounding of a mean of products (about n eps times their moduli)
         for _ in range(10):
             n = int(rng.integers(2, 8))
             p = Polynomial.from_roots(disk_points(rng, n))
@@ -229,7 +236,30 @@ class TestSymmetricMeanIdentity:
                 alpha = complex(*rng.uniform(-1, 1, 2))
                 W, Z = mj.tuple_W(p, alpha, k), mj.tuple_Z(p, alpha, k)
                 ref = abs(complex(np.mean(np.asarray(W.values))) - complex(np.mean(np.asarray(Z.values))))
-                assert mj.symmetric_mean_identity(p, alpha, k) == ref
+                scale = max(np.abs(W.values).mean(), np.abs(Z.values).mean())
+                assert abs(mj.symmetric_mean_identity(p, alpha, k) - ref) <= 16 * n * EPS * scale
+
+    def test_arrays_of_centres_and_orders(self, rng):
+        # one call over broadcast centres and orders gives, entry by entry,
+        # the scalar call's value bit for bit
+        p = Polynomial.from_roots(disk_points(rng, 6))
+        alphas = rng.uniform(-2, 2, (5, 4, 2)).view(complex)[..., 0]
+        ks = np.arange(1, 6)[:, None]
+        got = mj.symmetric_mean_identity(p, alphas, ks)
+        assert got.shape == (5, 4)
+        for k in range(1, 6):
+            for j, alpha in enumerate(alphas[k - 1]):
+                assert repr(float(got[k - 1, j])) == repr(mj.symmetric_mean_identity(p, alpha, k))
+        assert isinstance(mj.symmetric_mean_identity(p, 0.5, 2), float)
+
+    @pytest.mark.parametrize("k", [0, 6, [1, 2, 6]])
+    def test_order_outside_range_raises(self, k):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            mj.symmetric_mean_identity(Polynomial.from_roots([0.1, 0.2j, -0.3, 0.4, 0.5j, -0.6j]), 0.0, k)
+
+    def test_first_non_finite_centre_named(self):
+        with pytest.raises(ValueError, match=re.escape("alpha is not finite: (inf+0j)")):
+            mj.symmetric_mean_identity(power_minus_z(4), [0.1, complex("inf"), complex("nan")], 2)
 
     def test_corrupted_critical_set_breaks_identity(self, rng):
         # moving one critical point by 0.1 shifts the first-order mean by
@@ -250,6 +280,63 @@ class TestSymmetricMeanIdentity:
             expect = (-1.0) ** (n - 1) * p.derivative()(0.0) / n
             assert abs(prod_w - expect) <= 1e-10
             assert mj.symmetric_mean_identity(p, 0.0, n - 1) <= 1e-9
+
+
+def table_means(points, alpha, k):
+    """The mean of the k-subset products of (points - alpha) from their
+    product table, as majorization._products builds it, and the mean of
+    their moduli: the oracle of the Vieta means and its rounding scale."""
+    prods = np.array([np.prod(c) for c in itertools.combinations(np.asarray(points) - alpha, k)])
+    return complex(prods.mean()), float(np.abs(prods).mean())
+
+
+class TestVietaMeans:
+    """majorization._subset_means, e_k / C(n, k) by one Leja expansion per
+    centre, against the product tables and a 50-digit evaluation."""
+
+    @staticmethod
+    def point_sets(rng):
+        for n in range(1, 11):
+            yield disk_points(rng, n)
+            yield np.repeat(disk_points(rng, (n + 1) // 2), 2)[:n]  # double points
+            yield np.full(n, 0.3 - 0.2j)  # one n-fold point
+            yield disk_points(rng, n, max_mod=1e-3)  # a cluster
+
+    def test_against_product_tables(self, rng):
+        for points in self.point_sets(rng):
+            n = len(points)
+            # centres in the disk, off it, and on a point
+            alphas = np.r_[rng.uniform(-1, 1, (3, 2)).view(complex)[:, 0], 3.0 - 4.0j, -10.0, points[0]]
+            for k in range(1, n + 1):
+                got = mj._subset_means(points, alphas, np.full(len(alphas), k))
+                for alpha, g in zip(alphas, got):
+                    ref, scale = table_means(points, alpha, k)
+                    assert abs(g - ref) <= 8 * n * EPS * scale, (n, k, alpha)
+
+    def test_degree_20_at_order_10_against_mpmath(self, rng):
+        # C(20, 10) = 184,756 products: over TUPLE_CAP, so no table is built
+        p = Polynomial.from_roots(disk_points(rng, 20, min_sep=1e-2))
+        alpha, k = complex(0.3, -0.4), 10
+        with pytest.raises(ValueError, match="blowup"):
+            mj.tuple_Z(p, alpha, k)
+        means = []
+        for q in (p, p.derivative()):
+            points = q.find_roots().as_array()
+            with mpmath.workdps(50):
+                e = [mpmath.mpc(1)] + [mpmath.mpc(0)] * k  # e_0..e_k by the recurrence e_j += w e_(j-1)
+                for w in points:
+                    w = mpmath.mpc(w.real, w.imag) - mpmath.mpc(alpha.real, alpha.imag)
+                    for j in range(k, 0, -1):
+                        e[j] += w * e[j - 1]
+                exact = e[k] / math.comb(len(points), k)
+            got = mj._subset_means(points, np.array([alpha]), np.array([k]))[0]
+            assert abs(got - complex(exact)) <= 1e-10 * abs(complex(exact))
+            means.append(exact)
+        identity = mj.symmetric_mean_identity(p, alpha, k)
+        with mpmath.workdps(50):
+            ref = float(abs(means[1] - means[0]))
+        assert abs(identity - ref) <= 1e-10 * abs(complex(means[0]))
+        assert identity <= 1e-9
 
 
 def test_criterion_11_corpus_is_the_per_polynomial_draw():

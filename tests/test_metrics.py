@@ -8,6 +8,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from polycrit.metrics import (
+    _greedy,
     alpha_distance,
     bottleneck_assignment,
     delta_distance,
@@ -217,6 +218,22 @@ class TestDelta:
         value = assert_matches_oracles(a, b)
         # within the slack of the exact bottleneck, which the ties can reach
         assert value <= bottleneck_lsa(a, b) <= value + 1e-15 * (1.0 + np.abs(np.subtract.outer(a, b)).max())
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (5, 5), (7, 12), (16, 16), (64, 64), (20, 64)])
+    def test_first_matching_is_the_sorted_greedy(self, rng, n_a, n_b):
+        # the reference walks the pairs in ascending distance, ties in
+        # row-major order; rounding the distances makes ties common
+        for decimals in (None, 1):
+            D = np.abs(np.subtract.outer(disk_points(rng, n_a), disk_points(rng, n_b)))
+            if decimals is not None:
+                D = np.round(D, decimals)
+            col_of, taken = [-1] * n_a, set()
+            for flat in np.argsort(D, axis=None, kind="stable"):
+                i, j = divmod(int(flat), n_b)
+                if col_of[i] < 0 and j not in taken:
+                    col_of[i] = j
+                    taken.add(j)
+            assert _greedy(D).tolist() == col_of
 
     @pytest.mark.parametrize(
         "a, b, message",

@@ -817,6 +817,47 @@ class TestInterlaceRatios:
             no.interlace_ratios(A, 0)
 
 
+class TestStackedInterlaceRatios:
+    """interlace_ratios over a stack of one order: row r is, by repr, the
+    ratios of matrix r alone."""
+
+    @staticmethod
+    def stack(rng, n, count=12):
+        spectra = [rng.uniform(-1, 1, n).astype(complex), disk_points(rng, n, min_sep=1e-2)]
+        repeated = disk_points(rng, n - 1, min_sep=1e-2)
+        spectra.append(np.r_[repeated, repeated[:1]])  # one double eigenvalue
+        mats = [no.random_normal(spectra[t % 3], seed=100 * n + t).entries for t in range(count)]
+        return np.array(mats), rng.integers(n, size=count)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rows_equal_the_stack_of_one(self, rng, n):
+        As, index = self.stack(rng, n)
+        got = no.interlace_ratios(As, index)
+        assert len(got) == len(As)
+        for A, i, row in zip(As, index, got):
+            assert repr(row.tolist()) == repr(no.interlace_ratios(no.as_normal(A), int(i)).tolist())
+        # the double eigenvalue leaves n - 1 distinct ones
+        assert [len(r) for r in got[2::3]] == [n - 1] * 4
+
+    def test_one_index_for_all(self, rng):
+        As, _ = self.stack(rng, 4)
+        assert [r.tolist() for r in no.interlace_ratios(As, 1)] == [
+            no.interlace_ratios(no.as_normal(A), 1).tolist() for A in As
+        ]
+
+    def test_gray_zone_names_the_first_matrix(self):
+        fine = np.diag([0.0, 0.5, 1.0]).astype(complex)
+        near = [np.diag([0.0, d, 1.0]).astype(complex) for d in (7e-6, 3e-6)]
+        with pytest.raises(ValueError, match=re.escape("[0.e+00+0.j 7.e-06+0.j] closer than 1.0e-05")):
+            no.interlace_ratios(np.array([fine, near[0], near[1]]), 0)
+
+    def test_stack_shape_and_indices_checked(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            no.interlace_ratios(np.zeros((2, 3)), 0)
+        with pytest.raises(ValueError, match="interlace_ratios: index out of range: i = 3"):
+            no.interlace_ratios(np.array([np.eye(3)] * 2, dtype=complex), [0, 3])
+
+
 def collinear(points) -> bool:
     """Best-fit-line residual test: the smallest singular value of the
     centered data is at most 1e-9 times the largest."""

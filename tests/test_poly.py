@@ -268,6 +268,65 @@ class TestLejaExpansion:
         assert order[0] == 1 and order[1] in (2, 3) and order[-1] in (2, 3)
 
 
+def convolve_chain(points):
+    """prod (z - p_i) as _expand_roots computed it before it took stacks: a
+    Leja order by Python's max, then one np.convolve per point; the
+    bitwise reference of the stacked expansion."""
+    pts = [complex(p) for p in points]
+    order, score = [], [0.0] * len(pts)
+    k = max(range(len(pts)), key=lambda i: (abs(pts[i]), -i))
+    for _ in pts:
+        order.append(k)
+        score = [s + float(np.log(max(abs(p - pts[k]), poly._TINY))) for s, p in zip(score, pts)]
+        score[k] = -np.inf
+        k = max(range(len(pts)), key=lambda i: (score[i], -i))
+    c = np.array([1.0 + 0j])
+    for k in order:
+        c = np.convolve(c, np.array([-pts[k], 1.0 + 0j]))
+    return c
+
+
+def expansion_stacks(rng):
+    """(k, n) root stacks by degree 1-10 and 64: disk draws, real ones,
+    double points, and at degree 64 clusters of four within 1e-6 and
+    exactly repeated points."""
+    for n in (*range(1, 11), 64):
+        yield poly.disk_points(rng, 6 * n).reshape(6, n)
+        yield rng.uniform(-1, 1, (3, n)).astype(complex)
+        yield np.repeat(poly.disk_points(rng, 3 * ((n + 1) // 2)).reshape(3, -1), 2, axis=1)[:, :n]
+    centres = np.repeat(poly.disk_points(rng, 4 * 16).reshape(4, 16), 4, axis=1)
+    yield centres + 1e-6 * poly.disk_points(rng, 4 * 64).reshape(4, 64)
+    yield centres
+
+
+class TestStackedExpansion:
+    """_expand_roots over a stack (k, n): each row in its own Leja order."""
+
+    def test_rows_equal_the_stack_of_one_and_the_convolution_chain(self, rng):
+        for roots in expansion_stacks(rng):
+            got = poly._expand_roots(roots)
+            assert got.shape == (len(roots), roots.shape[1] + 1)
+            for r, row in enumerate(roots):
+                assert repr(got[r].tolist()) == repr(poly._expand_roots(row).tolist())
+                assert got[r].tobytes() == convolve_chain(row).tobytes()
+                assert got[r].tobytes() == np.array(Polynomial.from_roots(row).coeffs).tobytes()
+
+    def test_leja_rows_equal_the_order_of_one(self, rng):
+        for roots in expansion_stacks(rng):
+            order = poly._leja_order(roots)
+            assert [poly._leja_order(row).tolist() for row in roots] == order.tolist()
+
+    def test_within_the_gamma_budget_of_mpmath(self, rng):
+        # each coefficient within gamma_0 of the same coefficient of
+        # prod (z + |p_i|), the rounding budget of a product of n factors
+        for roots in expansion_stacks(rng):
+            n = roots.shape[1]
+            got = poly._expand_roots(roots)
+            for r, row in enumerate(roots):
+                budget = poly._gamma(n, 0) * np.abs(mp_expand(-np.abs(row)))
+                assert (np.abs(got[r] - mp_expand(row)) <= budget).all()
+
+
 class TestPolyvalReference:
     """__call__ and vanishes_at evaluate by np.polyval, bit for bit the
     Horner loop they replaced (conftest.horner)."""

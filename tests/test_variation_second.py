@@ -170,10 +170,12 @@ class TestProp112:
             assert repr(lhs) == repr(float(np.abs(crit - eps[0]).min()))
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="n >= 4"):
+        with pytest.raises(ValueError, match="n >= 4 required, got 3"):
             vs.prop112_perturbation(3, [1e-3, 0, 0])
-        with pytest.raises(ValueError, match="eps_1"):
+        with pytest.raises(ValueError, match=r"\|eps_1\| <= 0.01 required, got 0.1"):
             vs.prop112_perturbation(4, [0.1, 0, 0, 0])
+        with pytest.raises(ValueError, match="eps_1"):
+            vs.prop112_perturbation(4, [complex("nan"), 0, 0, 0])
         with pytest.raises(ValueError, match="kappa"):
             vs.prop112_perturbation(4, [1e-3, 1e-4, 0, 0])
 
@@ -202,5 +204,5 @@ class TestProp113:
         assert lhs < middle < rhs
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 5 required, got 4"):
             vs.prop113_inequality(4)
