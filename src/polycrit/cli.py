@@ -81,6 +81,8 @@ class _Report:
         )
 
     def emit(self, indent: int | None) -> int:
+        """Print the report as strict JSON (RFC 8259 has no NaN or
+        Infinity); ValueError names the key path of a non-finite value."""
         obj = {
             "command": self.command,
             "inputs": self.inputs,
@@ -89,8 +91,20 @@ class _Report:
             "seed": self.seed,
             "duration_ms": int((time.monotonic() - self.t0) * 1000),
         }
-        print(json.dumps(obj, indent=indent))
+        path = _non_finite(obj)
+        if path:
+            raise ValueError(f"report value {path} is not finite")
+        print(json.dumps(obj, indent=indent, allow_nan=False))
         return 0 if all(c["pass"] for c in self.checks) else 1
+
+
+def _non_finite(obj, path: str = "") -> str | None:
+    """Key path (outputs.radius, checks[0].value) of the first non-finite float in obj, or None."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    paths = (_non_finite(v, f"{path}[{k}]" if isinstance(k, int) else f"{path}.{k}".lstrip(".")) for k, v in items)
+    return next(filter(None, paths), None)
 
 
 def _cmd_metrics(args, rep: _Report, tol: float) -> None:
@@ -455,10 +469,10 @@ def main(argv: list[str] | None = None) -> int:
         if not (np.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
         _DISPATCH[args.command](args, rep, args.tol)
+        return rep.emit(args.json_indent)
     except (ValueError, OSError, json.JSONDecodeError, KeyError, RuntimeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}))
         return 2
-    return rep.emit(args.json_indent)
 
 
 if __name__ == "__main__":

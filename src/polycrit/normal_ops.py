@@ -19,43 +19,71 @@ from .lp import in_convex_hull
 from . import metrics, poly
 from .poly import Polynomial, cluster_indices
 
-NORMALITY_TOL = 1e-9  # as_normal: ||A A* - A* A||_max relative to max |A_ij|^2
+NORMALITY_TOL = 1e-11  # as_normal: Schur departure relative to max(departure, max |lambda|)
 COMPRESSION_TOL = 1e-8  # compression_spectrum groups the parent spectrum at this distance
 INTERLACE_TOL = 1e-6  # interlace_ratios groups the parent spectrum at this distance
 
 
 @dataclass(frozen=True, eq=False)
 class NormalMatrix:
-    """Dense complex matrix certified normal at construction, holding no
-    derived data; equality is identity, since entries is an array."""
+    """A matrix or a stack (..., n, n) with its certificate of normality
+    from as_normal, the Schur form A = Z T Z* of each matrix: eigenvalues
+    (..., n), the diagonal of T; Z (..., n, n), an orthonormal eigenbasis;
+    departure (...), max |T_ij| over i < j.  Equality is identity."""
 
     entries: np.ndarray
-    normality_residual: float
+    eigenvalues: np.ndarray
+    Z: np.ndarray
+    departure: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
+
+
+def _unsorted(z) -> None:
+    """zgees's eigenvalue-selection callback, unused: the form is unsorted."""
+
+
+@lru_cache(maxsize=poly.MAX_DEGREE)
+def _zgees_lwork(n: int) -> int:
+    """zgees's workspace size at order n, which depends on n alone."""
+    from scipy.linalg import lapack
+
+    return int(lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 def as_normal(matrix) -> NormalMatrix:
+    """A matrix, or a stack (..., n, n) of one order, certified normal by
+    one complex Schur form A = Z T Z* per matrix (the zgees call of
+    scipy.linalg.schur(output="complex") without its wrapper, with the
+    workspace size of its order).  The only normality rule: the departure
+    max_{i<j} |T_ij| (Henrici) is at most NORMALITY_TOL times
+    max(departure, max |lambda|), else, or on a non-finite entry,
+    ValueError names the normality check."""
+    from scipy.linalg import lapack  # here, not at module level: CLI commands without a Schur form skip it
+
     A = np.asarray(matrix, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("square matrix required")
-    return NormalMatrix(entries=A, normality_residual=float(_normality_residuals(A)))
-
-
-def _normality_residuals(A: np.ndarray) -> np.ndarray:
-    """||A A* - A* A||_max of each matrix of a stack (..., n, n); raises
-    ValueError unless every one is finite and within NORMALITY_TOL of
-    its max |A_ij|^2."""
     if not np.isfinite(A).all():
         raise ValueError("normality check: matrix has non-finite entries")
-    AH = A.conj().swapaxes(-1, -2)
-    res = np.abs(A @ AH - AH @ A).max(axis=(-2, -1))
-    bad = res > NORMALITY_TOL * np.abs(A).max(axis=(-2, -1), initial=0.0) ** 2
-    if bad.any():
-        raise ValueError(f"matrix is not normal within tolerance: residual {res[bad][0]:.3e}")
-    return res
+    n = A.shape[-1]
+    stack = A.reshape(-1, n, n)
+    T, Z = np.empty_like(stack), np.empty_like(stack)
+    lwork = _zgees_lwork(n)
+    for k, M in enumerate(stack):
+        T[k], _, _, Z[k], _, info = lapack.zgees(_unsorted, M, lwork=lwork)
+        if info != 0:
+            raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
+    lam = np.diagonal(T, axis1=1, axis2=2).copy()
+    departure = np.abs(np.triu(T, 1)).max(axis=(1, 2))
+    bound = NORMALITY_TOL * np.maximum(departure, np.abs(lam).max(axis=1))
+    if (departure > bound).any():
+        k = int(np.argmax(departure > bound))
+        where = f" (matrix {k} of the stack)" if A.ndim > 2 else ""
+        raise ValueError(f"normality check: Schur departure {departure[k]:.3e} exceeds the bound {bound[k]:.3e}{where}")
+    return NormalMatrix(A, lam.reshape(A.shape[:-1]), Z.reshape(A.shape), departure.reshape(A.shape[:-2])[()])
 
 
 def dft_unitary(n: int) -> np.ndarray:
@@ -70,47 +98,51 @@ def dft_unitary(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
-def normal_from_roots(roots):
-    """U* diag(roots) U with the Fourier unitary: a NormalMatrix for one
-    root set, the entries (k, n, n) for a stack of root sets (k, n), bit
-    for bit those of each set alone and checked normal in the blocks of
-    poly._blocks, which bounds the check's temporaries.
-
-    Every standard basis vector becomes a trace vector, so deleting any
-    row/column pair compresses the spectrum onto the critical points of
-    the characteristic polynomial.
-    """
-    r = np.asarray(roots, dtype=complex)
+def _diagonal(r: np.ndarray) -> np.ndarray:
+    """diag(r) of each root set r (..., n), n >= 2."""
     n = r.shape[-1] if r.ndim else 0
     if n < 2:
         raise ValueError("need at least two eigenvalues")
-    U = dft_unitary(n)
     D = np.zeros(r.shape + (n,), dtype=complex)
     D[..., range(n), range(n)] = r
-    A = U.conj().T @ D @ U
-    if r.ndim == 1:
-        return NormalMatrix(entries=A, normality_residual=float(_normality_residuals(A)))
-    stack = A.reshape(-1, n, n)
-    for s in poly._blocks(len(stack), n * n):
-        _normality_residuals(stack[s])
-    return A
+    return D
 
 
-def random_normal(roots, seed: int) -> NormalMatrix:
-    """V* diag(roots) V with a Haar-ish unitary from a seeded Gaussian QR.
+def fourier_entries(roots) -> np.ndarray:
+    """U* diag(roots) U with the Fourier unitary, uncertified, for one root
+    set or a stack (k, n), bit for bit each set's alone.  Every standard
+    basis vector is a trace vector, so deleting any row/column pair
+    compresses the spectrum onto the critical points of the
+    characteristic polynomial."""
+    D = _diagonal(np.asarray(roots, dtype=complex))
+    U = dft_unitary(D.shape[-1])
+    return U.conj().T @ D @ U
+
+
+def normal_from_roots(roots) -> NormalMatrix:
+    """fourier_entries(roots), certified by as_normal: one matrix or a
+    stack."""
+    return as_normal(fourier_entries(roots))
+
+
+def random_normal(roots, seed) -> NormalMatrix:
+    """V diag(roots) V* with a Haar-ish unitary V from a seeded Gaussian
+    QR, certified by as_normal: one root set (n,) with one seed, or a
+    stack of root sets (k, n) with one seed each, each matrix bit for bit
+    that of its seed alone.
 
     Deterministic per seed; the R-diagonal phase fix makes the QR output
     unique, so identical seeds give identical matrices.
     """
-    r = np.asarray(roots, dtype=complex)
-    if len(r) < 2:
-        raise ValueError("need at least two eigenvalues")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((len(r), len(r))) + 1j * rng.standard_normal((len(r), len(r)))
+    D = _diagonal(np.asarray(roots, dtype=complex))
+    G, n = np.empty_like(D), D.shape[-1]
+    for k, s in np.ndenumerate(np.reshape(seed, D.shape[:-2])):
+        rng = np.random.default_rng(int(s))
+        G[k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    V = Q * (d / np.abs(d))
-    return as_normal(V @ np.diag(r) @ V.conj().T)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    V = Q * (d / np.abs(d))[..., None, :]
+    return as_normal(V @ D @ V.conj().swapaxes(-1, -2))
 
 
 def char_poly(M):
@@ -301,9 +333,12 @@ def _polish(mu, W, x, keep, t, b) -> np.ndarray:
     return x
 
 
-def _check_index(where: str, n: int, i, cap: int | None = None) -> None:
+def _check_index(where: str, n: int, i, cap: int | None = None, one: NormalMatrix | None = None) -> None:
     """ValueError from the function where unless every deletion index i
-    (one, or one per matrix) lies in 0..n-1 and the order n is within cap."""
+    (one, or one per matrix) lies in 0..n-1, the order n is within cap,
+    and one, if given, is one matrix rather than a stack."""
+    if one is not None and one.entries.ndim != 2:
+        raise ValueError(f"{where}: one matrix required, got a stack of shape {one.entries.shape}")
     bad = [j for j in np.ravel(i) if not 0 <= j < n]
     if bad:
         raise ValueError(f"{where}: index out of range: i = {bad[0]} for a matrix of order {n}")
@@ -327,42 +362,38 @@ def _compress(lam: np.ndarray, Z: np.ndarray, i) -> tuple[np.ndarray, np.ndarray
     return full, sub
 
 
-def compression_spectra(As, i) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack As (k, n, n) of normal matrices of one order and
-    of each with row/column i deleted (one index for all, or one per
-    matrix): arrays (k, n) and (k, n - 1) whose rows are in RootSet
-    format (lex-sorted, a multiple eigenvalue as one value repeated), each
-    row bit for bit that of its matrix alone (compression_spectrum).
+def compression_spectra(A: NormalMatrix, i) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a NormalMatrix, one matrix or a stack (k, n, n), and of
+    each matrix with row/column i deleted (one index for all, or one per
+    matrix): arrays (k, n) and (k, n - 1), one row per matrix (k = 1 for
+    one), in RootSet format (lex-sorted, a multiple eigenvalue as one
+    value repeated), each row bit for bit that of its matrix alone
+    (compression_spectrum).
 
-    A stacked normality check (as as_normal), one zgees per matrix with
-    the workspace size taken once per order, then every other step of
-    compression_spectrum's method over the stack: the cluster screen, the
-    Householder compression, np.linalg.eigvals, the partial-fraction
-    Taylor values and the Newton polish, poly._newton row by row;
-    poly._resolve_multiple runs only on the rows with shaky starts.  The
-    stack goes through in the blocks of poly._blocks, about
-    poly._BLOCK_ENTRIES matrix entries each, which bounds the temporaries.
-    Raises ValueError on a non-normal or non-finite matrix, and
+    From A's Schur forms, every step of compression_spectrum's method
+    runs over the stack: the cluster screen, the Householder compression,
+    np.linalg.eigvals, the partial-fraction Taylor values and the Newton
+    polish, poly._newton row by row; poly._resolve_multiple runs only on
+    the rows with shaky starts.  The stack goes through in the blocks of
+    poly._blocks, which bound the temporaries.  Raises
     CompressionSpectrumError as compression_spectrum does.
     """
-    As = np.asarray(As, dtype=complex)
-    if As.ndim != 3 or As.shape[1] != As.shape[2]:
-        raise ValueError("stack of square matrices (k, n, n) required")
-    k, n = As.shape[:2]
+    n = A.n
     _check_index("compression_spectra", n, i, poly.MAX_DEGREE)
+    lam, Z = A.eigenvalues.reshape(-1, n), A.Z.reshape(-1, n, n)
+    k = len(lam)
     i = np.broadcast_to(i, k)
     full = np.empty((k, n), dtype=complex)
     sub = np.empty((k, n - 1), dtype=complex)
     for s in poly._blocks(k, n * n):
-        _normality_residuals(As[s])
-        full[s], sub[s] = _compress(*_orthonormal_eigenbasis(As[s]), i[s])
+        full[s], sub[s] = _compress(lam[s], Z[s], i[s])
     return full, sub
 
 
 def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     """Spectra of A and of A with row/column i deleted, in RootSet format
-    (lex-sorted, a k-fold eigenvalue as one value repeated k times): row 0
-    of compression_spectra on the stack of one, A.entries[None].
+    (lex-sorted, a k-fold eigenvalue as one value repeated k times):
+    compression_spectra on the one matrix A.
 
     Both come from one Schur form A = Z diag(lambda) Z* and the paper's
     Gauss-Lucas identity
@@ -370,8 +401,8 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
         det(zI - A_[i]) / det(zI - A) = sum_j w_j / (z - lambda_j),
         w_j = |Z_ij|^2.
 
-    The parent spectrum is the Schur diagonal (A is certified normal, so
-    by Bauer-Fike every eigenvalue has condition number 1).  Cluster the
+    The parent spectrum is the Schur diagonal of A's certificate (A is
+    normal: by Bauer-Fike each eigenvalue has condition number 1).  Cluster the
     parent spectrum at COMPRESSION_TOL relative to max |lambda| =
     ||A||_2, so that s A compresses to s times the spectra of A: a
     cluster mu_k of size m_k with aggregated weight W_k leaves m_k - 1
@@ -385,8 +416,8 @@ def compression_spectrum(A: NormalMatrix, i: int) -> SpectrumPair:
     stays where it was found, however close.  The order of A is capped at
     poly.MAX_DEGREE.
     """
-    _check_index("compression_spectrum", A.n, i, poly.MAX_DEGREE)
-    full, sub = compression_spectra(A.entries[None], i)
+    _check_index("compression_spectrum", A.n, i, poly.MAX_DEGREE, one=A)
+    full, sub = compression_spectra(A, i)
     return SpectrumPair(eig_full=tuple(full[0]), eig_sub=tuple(sub[0]), source_index=i)
 
 
@@ -401,43 +432,6 @@ def spectral_variation(E1, E2):
     return float(s) if s.ndim == 0 else s
 
 
-def _unsorted(z) -> None:
-    """zgees's eigenvalue-selection callback, unused: the form is unsorted."""
-
-
-@lru_cache(maxsize=poly.MAX_DEGREE)
-def _zgees_lwork(n: int) -> int:
-    """zgees's workspace size at order n, which depends on n alone."""
-    from scipy.linalg import lapack
-
-    return int(lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
-
-
-def _orthonormal_eigenbasis(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a matrix or a stack
-    (..., n, n) from the complex Schur form, by the zgees call of
-    scipy.linalg.schur(output="complex") without its wrapper, one per
-    matrix with the workspace size of its order; each form is diagonal (to
-    1e-7 of its largest entry) when the matrix is normal."""
-    from scipy.linalg import lapack  # here, not at module level: CLI commands without a Schur form skip it
-
-    n = entries.shape[-1]
-    stack = entries.reshape(-1, n, n)
-    T, Z = np.empty_like(stack), np.empty_like(stack)
-    lwork = _zgees_lwork(n)
-    for k, A in enumerate(stack):
-        T[k], _, _, Z[k], _, info = lapack.zgees(_unsorted, A, lwork=lwork)
-        if info != 0:
-            raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
-    lam = np.diagonal(T, axis1=1, axis2=2).copy()
-    T[:, range(n), range(n)] = 0.0
-    off = np.abs(T).max(axis=(1, 2))
-    bad = off > 1e-7 * np.maximum(off, np.abs(lam).max(axis=1))
-    if bad.any():
-        raise ValueError(f"eigendecomposition failed: Schur form not diagonal ({off[bad][0]:.3e})")
-    return lam.reshape(entries.shape[:-1]), Z.reshape(entries.shape)
-
-
 def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, float]:
     """Weights |<u_i, e_j>|^2 in the partial-fraction identity
 
@@ -448,25 +442,22 @@ def gauss_lucas_weights(A: NormalMatrix, i: int, probes) -> tuple[np.ndarray, fl
     submatrix eigenvalue in the convex hull of the parent spectrum.  A
     probe that is not finite or lies near the spectrum raises ValueError.
     """
-    _check_index("gauss_lucas_weights", A.n, i)
-    eigvals, Z = _orthonormal_eigenbasis(A.entries)
-    weights = np.abs(Z[i, :]) ** 2
+    _check_index("gauss_lucas_weights", A.n, i, one=A)
+    lam, n = A.eigenvalues, A.n
+    weights = np.abs(A.Z[i]) ** 2
     sub = principal_submatrix(A.entries, i)
-    n = A.n
     probes = np.asarray(probes, dtype=complex)
     poly._check_finite("probe", probes)
     worst = 0.0
     for z in probes:
-        if np.abs(eigvals - z).min() < 1e-3 * _spectral_scale(eigvals):
+        if np.abs(lam - z).min() < 1e-3 * _spectral_scale(lam):
             raise ValueError(f"probe {z:.6g} too close to the spectrum (within 1e-3 ||A||_2)")
-        ratio = np.linalg.det(sub - z * np.eye(n - 1)) / np.linalg.det(
-            A.entries - z * np.eye(n)
-        )
-        worst = max(worst, abs(ratio - np.sum(weights / (eigvals - z))))
+        ratio = np.linalg.det(sub - z * np.eye(n - 1)) / np.linalg.det(A.entries - z * np.eye(n))
+        worst = max(worst, abs(ratio - np.sum(weights / (lam - z))))
     return weights, float(worst)
 
 
-def interlace_ratios(A, i):
+def interlace_ratios(A: NormalMatrix, i):
     """Nonnegative ratios generalizing Cauchy interlacing to normal matrices.
 
     For each distinct eigenvalue z_k (multiplicity n_k, clustered at
@@ -480,31 +471,25 @@ def interlace_ratios(A, i):
     eigenvalues closer than 10 INTERLACE_TOL max |lambda| raise
     ValueError, so the ratios of s A are those of A.
 
-    A is a NormalMatrix, with one index i, and gives one array of ratios;
-    or a stack (k, n, n) of normal matrices of one order, with one index
-    for all or one per matrix, and gives a list of k arrays (their lengths
-    are the numbers of distinct eigenvalues), each bit for bit that of its
-    matrix alone.  The stack goes as compression_spectra's does: a
-    normality check and one Schur form per matrix, in the blocks of
-    poly._blocks, then clustering, free zeros and ratios over the rows
-    with the same number of distinct eigenvalues.  The checks go step by
-    step over a block, the gray zone of every matrix before the ratios of
-    any, and each raises the error of the first matrix that fails it.
+    A is one matrix, with one index i, and gives one array of ratios; or
+    a stack (k, n, n), with one index for all or one per matrix, and
+    gives a list of k arrays (their lengths are the numbers of distinct
+    eigenvalues), each bit for bit that of its matrix alone.  From A's
+    Schur forms, in the blocks of poly._blocks: clustering, free zeros
+    and ratios over the rows with the same number of distinct
+    eigenvalues.  The checks go step by step over a block, the gray zone
+    of every matrix before the ratios of any, and each raises the error
+    of the first matrix that fails it.
     """
-    if isinstance(A, NormalMatrix):
-        _check_index("interlace_ratios", A.n, i)
-        return interlace_ratios(A.entries[None], i)[0]
-    As = np.asarray(A, dtype=complex)
-    if As.ndim != 3 or As.shape[1] != As.shape[2]:
-        raise ValueError("stack of square matrices (k, n, n) required")
-    k, n = As.shape[:2]
+    n = A.n
     _check_index("interlace_ratios", n, i)
+    lam_all, Z = A.eigenvalues.reshape(-1, n), A.Z.reshape(-1, n, n)
+    k = len(lam_all)
     i = np.broadcast_to(i, k)
     out: list = [None] * k
     for s in poly._blocks(k, n * n):
-        _normality_residuals(As[s])
-        lam, Z = _orthonormal_eigenbasis(As[s])
-        groups = _parent_clusters(lam, Z, i[s], INTERLACE_TOL)
+        lam = lam_all[s]
+        groups = _parent_clusters(lam, Z[s], i[s], INTERLACE_TOL)
         # a gap barely above the clustering scale cannot be reliably told
         # apart from a multiplicity, so refuse the gray zone
         gap = 10 * INTERLACE_TOL * _spectral_scale(lam)
@@ -529,7 +514,7 @@ def interlace_ratios(A, i):
             for r, v in zip(rows, val.real):
                 out[s.start + r] = v
         _raise_first(errors)
-    return out
+    return out[0] if A.entries.ndim == 2 else out
 
 
 def _raise_first(errors: dict) -> None:

@@ -173,7 +173,7 @@ def test_svar_corpus_bytes_match_inline_fourier_build():
         U = normal_ops.dft_unitary(n)
         D = np.zeros((500, n, n), dtype=complex)
         D[:, range(n), range(n)] = ref_roots
-        _, ref_sub = normal_ops.compression_spectra(U.conj().T @ D @ U, 0)
+        _, ref_sub = normal_ops.compression_spectra(normal_ops.as_normal(U.conj().T @ D @ U), 0)
         assert roots.tobytes() == ref_roots.tobytes() and sub.tobytes() == ref_sub.tobytes()
 
 

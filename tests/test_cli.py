@@ -211,7 +211,7 @@ class TestCommands:
         monkeypatch.setattr(normal_ops, "compression_spectra", lambda *a: calls.append(a) or spectra(*a))
         code, rep = run(capsys, ["normal", "svar", "--n", str(n), "--trials", str(trials), "--seed", str(seed)])
         assert code == 0 and repr(rep["outputs"]["max_excess"]) == repr(worst)
-        assert len(calls) == 1 and calls[0][0].shape == (trials, n, n)
+        assert len(calls) == 1 and calls[0][0].entries.shape == (trials, n, n)
 
     def test_normal_svar_single_polynomial(self, capsys, quartic_file):
         code, rep = run(capsys, ["normal", "svar", quartic_file])
@@ -353,6 +353,30 @@ class TestSignedValues:
         rep1.pop("duration_ms")
         rep2.pop("duration_ms")
         assert rep1 == rep2
+
+
+class TestStrictJson:
+    """Reports are RFC 8259 JSON: a non-finite value is an input-error
+    exit that names its key path, never a bare NaN or Infinity."""
+
+    @pytest.mark.parametrize("where, path", [("outputs", "outputs.radius"), ("checks", "checks[0].value")])
+    def test_non_finite_value_exits_2_naming_its_path(self, capsys, monkeypatch, quartic_file, where, path):
+        def handler(args, rep, tol):
+            if where == "outputs":
+                rep.outputs = {"radius": float("nan"), "zeros": [[0.0, 1.0]]}
+            else:
+                rep.check("radius-deviation", True, float("inf"), tol)
+
+        monkeypatch.setitem(polycrit.cli._DISPATCH, "zeromax", handler)
+        code = main(["zeromax", "verify", quartic_file])
+
+        def bare(token):
+            raise AssertionError(f"stdout holds a bare {token}")
+
+        out = capsys.readouterr().out
+        assert code == 2
+        error = f"report value {path} is not finite"
+        assert json.loads(out, parse_constant=bare) == {"command": "zeromax", "error": error}
 
 
 class TestErrorPaths:

@@ -1,4 +1,5 @@
 from collections import Counter
+import json
 import re
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from polycrit.metrics import bottleneck_assignment
 from polycrit.poly import Polynomial
-from polycrit import normal_ops as no
+from polycrit import cli, jsonio, normal_ops as no
 from polycrit import poly, suite
 
 from conftest import disk_points, lex_sorted, roots_of_unity
@@ -88,11 +89,15 @@ class TestNormalFromRoots:
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_stack_equals_each_root_set(self, n):
+        # entries and certificate, matrix by matrix
         roots = poly.disk_points(np.random.default_rng(n), 30 * n).reshape(30, n)
         As = no.normal_from_roots(roots)
-        assert As.shape == (30, n, n)
-        for r, A in zip(roots, As):
-            assert A.tobytes() == no.normal_from_roots(r).entries.tobytes()
+        assert As.entries.shape == As.Z.shape == (30, n, n)
+        assert As.eigenvalues.shape == (30, n) and As.departure.shape == (30,)
+        for k, r in enumerate(roots):
+            A = no.normal_from_roots(r)
+            for field in ("entries", "eigenvalues", "Z", "departure"):
+                assert getattr(As, field)[k].tobytes() == np.asarray(getattr(A, field)).tobytes()
 
     def test_stack_is_checked(self):
         roots = np.ones((3, 4), dtype=complex)
@@ -121,7 +126,7 @@ class TestRandomNormal:
     def test_normality_and_spectrum(self, rng):
         roots = disk_points(rng, 6, min_sep=1e-2)
         A = no.random_normal(roots, seed=3)
-        assert A.normality_residual <= 1e-10
+        assert A.departure <= 1e-3 * no.NORMALITY_TOL * np.abs(roots).max()
         eig = no.char_poly(A.entries).find_roots().as_array()
         assert bottleneck_assignment(roots, eig)[0] <= 1e-9
 
@@ -268,7 +273,7 @@ class TestPrincipalSubmatrix:
         [
             ("principal_submatrix", lambda A, i: no.principal_submatrix(A.entries, i)),
             ("compression_spectrum", lambda A, i: no.compression_spectrum(A, i)),
-            ("compression_spectra", lambda A, i: no.compression_spectra(np.array([A.entries] * 2), [0, i])),
+            ("compression_spectra", lambda A, i: no.compression_spectra(no.as_normal([A.entries] * 2), [0, i])),
             ("interlace_ratios", lambda A, i: no.interlace_ratios(A, i)),
             ("gauss_lucas_weights", lambda A, i: no.gauss_lucas_weights(A, i, [2.0])),
         ],
@@ -282,17 +287,17 @@ class TestPrincipalSubmatrix:
 
 
 class TestEigenbasis:
-    """_orthonormal_eigenbasis calls zgees as scipy.linalg.schur does."""
+    """as_normal calls zgees as scipy.linalg.schur does."""
 
     @pytest.mark.parametrize("kind", ["fourier", "haar"])
     def test_bitwise_equal_to_scipy_schur(self, kind):
         for n in range(2, poly.MAX_DEGREE + 1):
             roots = poly.disk_points(np.random.default_rng(n), n)
             A = no.normal_from_roots(roots) if kind == "fourier" else no.random_normal(roots, seed=n)
-            lam, Z = no._orthonormal_eigenbasis(A.entries)
             T, Z_ref = scipy.linalg.schur(A.entries, output="complex")
-            assert lam.tobytes() == np.diagonal(T).tobytes()
-            assert Z.tobytes() == Z_ref.tobytes()
+            assert A.eigenvalues.tobytes() == np.diagonal(T).tobytes()
+            assert A.Z.tobytes() == Z_ref.tobytes()
+            assert A.departure == np.abs(np.triu(T, 1)).max()
 
     def test_zgees_failure_names_stage(self, monkeypatch):
         from scipy.linalg import lapack
@@ -305,7 +310,89 @@ class TestEigenbasis:
 
         monkeypatch.setattr(lapack, "zgees", failing)
         with pytest.raises(ValueError, match="eigendecomposition failed: zgees returned info = 2"):
-            no._orthonormal_eigenbasis(np.diag([1.0 + 0j, 2.0]))
+            no.as_normal(np.diag([1.0 + 0j, 2.0]))
+
+
+def commutator_refuses(A: np.ndarray) -> bool:
+    """The normality rule as_normal applied before the Schur certificate,
+    kept as an oracle: ||A A* - A* A||_max > 1e-9 max |A_ij|^2."""
+    AH = A.conj().T
+    return bool(np.abs(A @ AH - AH @ A).max() > 1e-9 * np.abs(A).max() ** 2)
+
+
+def near_normal_corpus(seed: int, count: int):
+    """Seeded matrices D + N, plain or Haar-rotated, N strictly upper
+    triangular with max |N_ij| = delta max |lambda|: orders 2..64,
+    separated, clustered (within 1e-8) or real spectra, relative delta
+    from 1e-13 to 1e-4 and scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.choice([2, 3, 4, 5, 8, 12, 16, 32, 64]))
+        if t % 3 == 0:
+            lam = poly.disk_points(rng, n)
+        elif t % 3 == 1:
+            lam = poly.disk_points(rng, 1) + 1e-8 * poly.disk_points(rng, n)
+        else:
+            lam = rng.uniform(-1.0, 1.0, n).astype(complex)
+        N = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        N *= 10.0 ** rng.uniform(-13, -4) * np.abs(lam).max() / np.abs(N).max()
+        M = np.diag(lam) + N
+        if rng.integers(2):
+            Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            M = Q @ M @ Q.conj().T
+        yield 10.0 ** rng.uniform(-3, 3) * M
+
+
+class TestCertificate:
+    """One normality rule: the departure of the Schur form, max |T_ij|
+    over i < j, within NORMALITY_TOL of max(departure, max |lambda|)."""
+
+    def test_no_matrix_the_commutator_refuses_is_accepted(self):
+        refused = accepted = 0
+        for M in near_normal_corpus(36, 1000):
+            if commutator_refuses(M):
+                refused += 1
+                with pytest.raises(ValueError, match="normality check: Schur departure"):
+                    no.as_normal(M)
+            else:
+                try:
+                    no.as_normal(M)
+                    accepted += 1
+                except ValueError as exc:
+                    assert str(exc).startswith("normality check: Schur departure")
+        # the corpus straddles both rules
+        assert refused >= 200 and accepted >= 200
+
+    @pytest.mark.parametrize("e", [1e-5, 3e-5])
+    def test_near_jordan_refused_at_construction(self, e):
+        # the commutator is quadratic in this departure (e^2 = 1e-10 at
+        # e = 1e-5), so the commutator rule certified the matrix
+        M = np.diag([1.0, 1.0, -1.0]).astype(complex)
+        M[0, 1] = e
+        assert not commutator_refuses(M)
+        message = f"normality check: Schur departure {e:.3e} exceeds the bound 1.000e-11"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            no.as_normal(M)
+
+    @pytest.mark.parametrize("n", range(2, poly.MAX_DEGREE + 1))
+    def test_constructors_certify_with_headroom(self, n):
+        # the largest relative departure here is 1.37e-14, the radius-0.8
+        # ring at n = 63: about 700 times below the bound
+        rng = np.random.default_rng(n)
+        spectra = [poly.disk_points(rng, n), roots_of_unity(n, radius=0.8), rng.uniform(-1, 1, n).astype(complex)]
+        for roots in spectra:
+            for A in (no.normal_from_roots(roots), no.random_normal(roots, seed=n)):
+                assert A.departure <= 1e-2 * no.NORMALITY_TOL * np.abs(roots).max()
+
+    def test_stacked_random_normal_is_each_seed_alone(self):
+        rng = np.random.default_rng(5)
+        roots = poly.disk_points(rng, 40).reshape(8, 5)
+        seeds = rng.integers(2**31, size=8)
+        As = no.random_normal(roots, seeds)
+        for k, (r, seed) in enumerate(zip(roots, seeds)):
+            A = no.random_normal(r, seed=int(seed))
+            for field in ("entries", "eigenvalues", "Z", "departure"):
+                assert getattr(As, field)[k].tobytes() == np.asarray(getattr(A, field)).tobytes()
 
 
 class TestCompression:
@@ -337,20 +424,23 @@ class TestCompression:
             assert no.eigvals_in_hull(pair, tol=1e-8)
 
     def test_non_normal_rejected(self):
-        with pytest.raises(ValueError, match="not normal"):
+        with pytest.raises(ValueError, match="normality check: Schur departure 1.000e[+]00"):
             no.as_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("s", [1e-5, 1e-9])
     def test_small_jordan_block_rejected(self, s):
-        # the residual is judged against the size of the entries
-        with pytest.raises(ValueError, match="not normal"):
+        # the departure is judged against the size of the eigenvalues
+        with pytest.raises(ValueError, match="normality check"):
             no.as_normal(np.array([[0.0, s], [0.0, 0.0]]))
 
     def test_large_normal_accepted(self, rng):
         roots = 1e3 * disk_points(rng, 16)
         A = no.normal_from_roots(roots)
-        assert A.normality_residual > 1e-9
         assert bottleneck_assignment(no.compression_spectrum(A, 0).eig_full, roots)[0] <= 1e-10 * 1e3
+        # a departure far above NORMALITY_TOL in absolute terms passes at its scale
+        B = no.as_normal(1e9 * A.entries)
+        assert B.departure > 1e3 * no.NORMALITY_TOL
+        assert bottleneck_assignment(no.compression_spectrum(B, 0).eig_full, 1e9 * roots)[0] <= 1e-10 * 1e12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -580,6 +670,24 @@ def _stack_member(kind: str, n: int, i: int, seed: int) -> np.ndarray:
     return H @ np.diag(roots) @ H.T
 
 
+@pytest.fixture
+def zgees_calls(monkeypatch):
+    """Counter of zgees calls by matrix shape, and of workspace queries,
+    from a cold workspace cache."""
+    from scipy.linalg import lapack
+
+    zgees, calls = lapack.zgees, Counter()
+
+    def counted(select, a, lwork):
+        calls["query" if lwork == -1 else a.shape] += 1
+        return zgees(select, a, lwork=lwork)
+
+    monkeypatch.setattr(lapack, "zgees", counted)
+    no._zgees_lwork.cache_clear()
+    yield calls
+    no._zgees_lwork.cache_clear()
+
+
 class TestCompressionStack:
     """compression_spectra over a stack equals compression_spectrum on each
     matrix, bit for bit; c08 takes one Schur form per matrix."""
@@ -598,7 +706,7 @@ class TestCompressionStack:
             index = data.draw(st.integers(0, n - 1))
         rows = np.broadcast_to(index, len(kinds))
         stack = np.array([_stack_member(kind, n, i, seed + k) for k, (kind, i) in enumerate(zip(kinds, rows))])
-        full, sub = no.compression_spectra(stack, index)
+        full, sub = no.compression_spectra(no.as_normal(stack), index)
         assert full.shape == (len(kinds), n) and sub.shape == (len(kinds), n - 1)
         for A, i, row_full, row_sub in zip(stack, rows, full, sub):
             pair = no.compression_spectrum(no.as_normal(A), int(i))
@@ -610,7 +718,7 @@ class TestCompressionStack:
         # through cluster_indices, the detached ones leave f
         n = 6
         stack = np.array([_stack_member(kind, n, 2, 7) for kind in ("unity", "repeated", "detached")])
-        full, sub = no.compression_spectra(stack, 2)
+        full, sub = no.compression_spectra(no.as_normal(stack), 2)
         assert len(set(sub[0])) == 1 and abs(sub[0, 0]) <= 1e-12  # nilpotent: a 5-fold zero
         assert len(set(full[1])) == n - 1 and np.abs(full[1]).min() <= 1e-15  # a double and a zero
         assert bottleneck_assignment(sub[2], _mp_eigvals(no.principal_submatrix(stack[2], 2)))[0] <= 1e-13
@@ -625,48 +733,58 @@ class TestCompressionStack:
         spectra, stacks = no.compression_spectra, []
 
         def spy(As, i):
-            stacks.append(np.asarray(As))
+            stacks.append(As)
             return spectra(As, i)
 
         monkeypatch.setattr(no, "compression_spectra", spy)
         pair = no.compression_spectrum(A, 3)
-        assert len(stacks) == 1 and stacks[0].shape == (1, n, n)
-        assert stacks[0][0].tobytes() == A.entries.tobytes()
-        full, sub = spectra(A.entries[None], 3)
+        assert stacks == [A]
+        full, sub = spectra(no.as_normal(A.entries[None]), 3)
         assert pair == no.SpectrumPair(tuple(full[0]), tuple(sub[0]), 3)
         if kind == "nilpotent":
             assert np.abs(np.array(pair.eig_sub)).max() <= 1e-12
 
     def test_rejects_bad_stacks(self):
-        with pytest.raises(ValueError, match="stack of square"):
-            no.compression_spectra(np.eye(3), 0)
-        with pytest.raises(ValueError, match="not normal"):
-            no.compression_spectra(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), 0)
+        with pytest.raises(ValueError, match="square matrix required"):
+            no.as_normal(np.zeros((2, 3, 4)))
+        message = "normality check: Schur departure 1.000e+00 exceeds the bound 1.000e-11 (matrix 1 of the stack)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            no.as_normal(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
         with pytest.raises(ValueError, match="non-finite"):
-            no.compression_spectra(np.full((1, 2, 2), np.nan), 0)
+            no.as_normal(np.full((1, 2, 2), np.nan))
         with pytest.raises(ValueError, match="index out of range"):
-            no.compression_spectra(np.array([np.eye(2)]), 2)
+            no.compression_spectra(no.as_normal([np.eye(2)]), 2)
         with pytest.raises(ValueError, match="index out of range"):
-            no.compression_spectra(np.array([np.eye(2), np.eye(2)]), [0, -1])
+            no.compression_spectra(no.as_normal([np.eye(2), np.eye(2)]), [0, -1])
+        with pytest.raises(ValueError, match=re.escape("compression_spectrum: one matrix required")):
+            no.compression_spectrum(no.as_normal([np.eye(2), np.eye(2)]), 0)
 
-    def test_criterion_08_takes_one_schur_form_per_matrix(self, monkeypatch):
-        from scipy.linalg import lapack
-
-        zgees, calls = lapack.zgees, Counter()
-
-        def counted(select, a, lwork):
-            calls["query" if lwork == -1 else a.shape] += 1
-            return zgees(select, a, lwork=lwork)
-
-        monkeypatch.setattr(lapack, "zgees", counted)
+    def test_criterion_08_takes_one_schur_form_per_matrix(self, zgees_calls):
         suite._svar_corpus.cache_clear()
-        no._zgees_lwork.cache_clear()
         try:
             (check,) = suite.criterion_08_operator_bound()
         finally:
             suite._svar_corpus.cache_clear()
         assert check.passed
-        assert calls == Counter({"query": 7, **{(n, n): 500 for n in range(2, 9)}})
+        assert zgees_calls == Counter({"query": 7, **{(n, n): 500 for n in range(2, 9)}})
+
+    def test_criterion_10_takes_one_schur_form_per_matrix(self, zgees_calls):
+        assert all(check.passed for check in suite.criterion_10_interlacing())
+        assert zgees_calls.pop("query") == 6
+        assert set(zgees_calls) == {(n, n) for n in range(3, 9)}
+        assert sum(zgees_calls.values()) == 100
+
+    def test_criterion_07_takes_no_schur_form(self, zgees_calls):
+        (check,) = suite.criterion_07_differentiator()
+        assert check.passed and not zgees_calls
+
+    @pytest.mark.parametrize("op", [["compress", "--index", "2"], ["glweights", "--probes", "2,0;1.5,1.5"]])
+    def test_normal_command_takes_one_schur_form(self, zgees_calls, tmp_path, capsys, op):
+        path = tmp_path / "p5.json"
+        jsonio.write_poly(path, Polynomial.from_roots(poly.disk_points(np.random.default_rng(5), 5)))
+        assert cli.main(["normal", op[0], str(path), *op[1:]]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "normal"
+        assert zgees_calls == Counter({"query": 1, (5, 5): 1})
 
 
 class TestSpectralVariation:
@@ -832,7 +950,7 @@ class TestStackedInterlaceRatios:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_rows_equal_the_stack_of_one(self, rng, n):
         As, index = self.stack(rng, n)
-        got = no.interlace_ratios(As, index)
+        got = no.interlace_ratios(no.as_normal(As), index)
         assert len(got) == len(As)
         for A, i, row in zip(As, index, got):
             assert repr(row.tolist()) == repr(no.interlace_ratios(no.as_normal(A), int(i)).tolist())
@@ -841,7 +959,7 @@ class TestStackedInterlaceRatios:
 
     def test_one_index_for_all(self, rng):
         As, _ = self.stack(rng, 4)
-        assert [r.tolist() for r in no.interlace_ratios(As, 1)] == [
+        assert [r.tolist() for r in no.interlace_ratios(no.as_normal(As), 1)] == [
             no.interlace_ratios(no.as_normal(A), 1).tolist() for A in As
         ]
 
@@ -849,13 +967,13 @@ class TestStackedInterlaceRatios:
         fine = np.diag([0.0, 0.5, 1.0]).astype(complex)
         near = [np.diag([0.0, d, 1.0]).astype(complex) for d in (7e-6, 3e-6)]
         with pytest.raises(ValueError, match=re.escape("[0.e+00+0.j 7.e-06+0.j] closer than 1.0e-05")):
-            no.interlace_ratios(np.array([fine, near[0], near[1]]), 0)
+            no.interlace_ratios(no.as_normal([fine, near[0], near[1]]), 0)
 
     def test_stack_shape_and_indices_checked(self):
-        with pytest.raises(ValueError, match="stack of square matrices"):
-            no.interlace_ratios(np.zeros((2, 3)), 0)
+        with pytest.raises(ValueError, match="square matrix required"):
+            no.as_normal(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="interlace_ratios: index out of range: i = 3"):
-            no.interlace_ratios(np.array([np.eye(3)] * 2, dtype=complex), [0, 3])
+            no.interlace_ratios(no.as_normal([np.eye(3)] * 2), [0, 3])
 
 
 def collinear(points) -> bool:

@@ -67,7 +67,7 @@ def _weights(roots, s):
     by the lex order of the eigenvalues over s."""
     A = no.normal_from_roots(s * np.asarray(roots, dtype=complex))
     w, _ = no.gauss_lucas_weights(A, 1, [s * (3.0 + 0.5j)])
-    lam = no._orthonormal_eigenbasis(A.entries)[0] / s
+    lam = A.eigenvalues / s
     return w[np.lexsort((lam.imag, lam.real))]
 
 
