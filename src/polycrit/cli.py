@@ -313,6 +313,20 @@ def _cmd_gen(args, rep: _Report, tol: float) -> None:
     rep.outputs = {"files": written}
 
 
+class _UsageError(Exception):
+    """argparse's usage error (a missing, unknown or malformed option),
+    raised instead of exiting so that main reports it as JSON."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through add_subparsers each subcommand's,
+    whose usage errors print the usage to stderr and raise _UsageError."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags live on the top level and, via this parent, after any
     # subcommand; SUPPRESS keeps the leaf from clobbering top-level values
@@ -321,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized subcommands")
     g.add_argument("--json-indent", type=int, default=argparse.SUPPRESS, help="indent for the JSON report")
 
-    ap = argparse.ArgumentParser(prog="polycrit", description=__doc__)
+    ap = _Parser(prog="polycrit", description=__doc__)
     ap.add_argument("--tol", type=float, default=1e-8)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json-indent", type=int, default=None)
@@ -458,10 +472,16 @@ def _attach_signed_values(argv: list[str], parser: argparse.ArgumentParser) -> l
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv, ap))
+        args = ap.parse_args(_attach_signed_values(argv, ap))
+    except _UsageError as exc:
+        # one JSON object, as for every other error; the command is the
+        # first token that names one (none when it is missing or unknown)
+        print(json.dumps({"command": next((a for a in argv if a in _DISPATCH), None), "error": str(exc)}))
+        return 2
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass through
+        # --help exits 0 after printing the help text; pass through
         return int(exc.code or 0)
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json_indent")}
     rep = _Report(command=args.command, inputs={k: str(v) for k, v in inputs.items()}, seed=args.seed)

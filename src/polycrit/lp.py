@@ -19,9 +19,14 @@ NNLS problems on the columns of its dual whose reduced cost vanishes.
 """
 from __future__ import annotations
 
+import contextlib
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -81,14 +86,51 @@ class FeasibilityCertificate:
         return self.margin > self.gate if self.verdict is Verdict.STRICTLY_FEASIBLE else self.margin <= self.gate
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_file() -> Path | None:
+    """The file of scipy.linalg._flapack in scipy's package directory,
+    found without importing scipy, or None."""
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations if scipy else None
+    files = (Path(d, "linalg", f"_flapack{s}") for d in folders or () for s in importlib.machinery.EXTENSION_SUFFIXES)
+    return next((f for f in files if f.is_file()), None)
+
+
+@lru_cache(maxsize=1)
+def flapack():
+    """scipy's compiled LAPACK module, the one source of dgelsy and zgees.
+
+    Loaded on first use from its file (_flapack_file) and registered under
+    its own name, scipy.linalg._flapack, so a later import of scipy.linalg
+    reuses it: importing scipy.linalg itself loads about 85 scipy modules
+    and costs 0.2-0.4 s in each cold process.  When the file is not found
+    (another layout of scipy) or does not load (where it needs libraries
+    that only scipy's own import sets up), scipy.linalg.lapack, which
+    exports the same routines, is imported instead."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    path = _flapack_file()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        with contextlib.suppress(ImportError):
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 @lru_cache(maxsize=4096)
 def _gelsy(m: int, n: int):
     """Least squares on m x n blocks: dgelsy bound once per shape, with its
     workspace size for one right-hand side; the 4096 most recent shapes are
-    kept.  scipy.linalg.lapack is imported here, on first use, so that
-    import polycrit loads numpy only."""
-    from scipy.linalg import lapack
-
+    kept.  LAPACK is loaded here, on first use (flapack), so that import
+    polycrit loads numpy only."""
+    lapack = flapack()
     dgelsy, lwork, rows = lapack.dgelsy, int(lapack.dgelsy_lwork(m, n, 1, _EPS)[0]), max(m, n)
 
     def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .lp import in_convex_hull
+from .lp import flapack, in_convex_hull
 from . import metrics, poly
 from .poly import Polynomial, cluster_indices
 
@@ -48,9 +48,7 @@ def _unsorted(z) -> None:
 @lru_cache(maxsize=poly.MAX_DEGREE)
 def _zgees_lwork(n: int) -> int:
     """zgees's workspace size at order n, which depends on n alone."""
-    from scipy.linalg import lapack
-
-    return int(lapack.zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
+    return int(flapack().zgees(_unsorted, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 def as_normal(matrix) -> NormalMatrix:
@@ -60,9 +58,8 @@ def as_normal(matrix) -> NormalMatrix:
     workspace size of its order).  The only normality rule: the departure
     max_{i<j} |T_ij| (Henrici) is at most NORMALITY_TOL times
     max(departure, max |lambda|), else, or on a non-finite entry,
-    ValueError names the normality check."""
-    from scipy.linalg import lapack  # here, not at module level: CLI commands without a Schur form skip it
-
+    ValueError names the normality check.  LAPACK is loaded on the first
+    call (lp.flapack): CLI commands without a Schur form skip it."""
     A = np.asarray(matrix, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("square matrix required")
@@ -71,9 +68,9 @@ def as_normal(matrix) -> NormalMatrix:
     n = A.shape[-1]
     stack = A.reshape(-1, n, n)
     T, Z = np.empty_like(stack), np.empty_like(stack)
-    lwork = _zgees_lwork(n)
+    lwork, zgees = _zgees_lwork(n), flapack().zgees
     for k, M in enumerate(stack):
-        T[k], _, _, Z[k], _, info = lapack.zgees(_unsorted, M, lwork=lwork)
+        T[k], _, _, Z[k], _, info = zgees(_unsorted, M, lwork=lwork)
         if info != 0:
             raise ValueError(f"eigendecomposition failed: zgees returned info = {info}")
     lam = np.diagonal(T, axis1=1, axis2=2).copy()

@@ -1,5 +1,9 @@
+import ast
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 # one BLAS thread, as perfbench pins it, set before numpy loads: under
 # OpenBLAS's default thread pool char_poly at order >= 48 took about
@@ -125,6 +129,15 @@ def seeded_matrices(rng, count):
     for _ in range(count):
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
         yield rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def fresh_python(code: str):
+    """The value of the last line a fresh interpreter prints after code,
+    with this checkout's src on its path."""
+    src = str(Path(poly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture

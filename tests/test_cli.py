@@ -1,9 +1,5 @@
-import ast
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +11,8 @@ from polycrit.cli import main, parse_complex, parse_grid, parse_range
 from polycrit.jsonio import poly_from_obj, poly_to_obj, read_poly, unpairs, write_poly
 from polycrit.metrics import bottleneck_assignment
 from polycrit.poly import Polynomial, disk_points
+
+from conftest import fresh_python
 
 
 def run(capsys, argv):
@@ -355,6 +353,36 @@ class TestSignedValues:
         assert rep1 == rep2
 
 
+class TestUsageErrors:
+    """A usage error (a missing, unknown or malformed option or command) is
+    exit 2 with one JSON object on stdout, {"command", "error"}, whose error
+    names the option; the usage text goes to stderr, and --help exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, command, option",
+        [
+            (["varfirst", "extensible", "{p}"], "varfirst", "--zero"),
+            (["major", "check", "{p}", "--k", "x"], "major", "--k"),
+            (["normal", "compress", "{p}", "--bogus"], "normal", "--bogus"),
+            (["--tol", "x", "zeromax", "verify", "{p}"], "zeromax", "--tol"),
+            (["varsecond", "fit", "--family", "deg6", "--grid", "1e-3:8"], "varsecond", "--family"),
+            (["metrics"], "metrics", "op"),
+            ([], None, "command"),
+        ],
+    )
+    def test_one_json_object_names_the_option(self, capsys, quartic_file, argv, command, option):
+        assert main([a.format(p=quartic_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report.keys() == {"command", "error"} and report["command"] == command
+        assert option in report["error"]
+        assert captured.err.startswith("usage: polycrit")
+
+    def test_help_is_exit_zero(self, capsys):
+        assert main(["varfirst", "extensible", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: polycrit varfirst extensible")
+
+
 class TestStrictJson:
     """Reports are RFC 8259 JSON: a non-finite value is an input-error
     exit that names its key path, never a bare NaN or Infinity."""
@@ -506,16 +534,12 @@ class TestErrorPaths:
 class TestStartup:
     @staticmethod
     def _loaded(code: str, prefixes=("scipy.sparse", "scipy.optimize")) -> list[str]:
-        src = str(Path(polycrit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code += f"; print([m for m in sys.modules if m.startswith({tuple(prefixes)!r})])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+        return fresh_python(code + f"; print([m for m in sys.modules if m.startswith({tuple(prefixes)!r})])")
 
     def test_cli_import_leaves_sparse_and_optimize_unloaded(self):
-        # every CLI command is a cold process; scipy.linalg (the Schur
-        # form, dgelsy) is imported inside the functions that need it, and
-        # nothing imports scipy.sparse or scipy.optimize
+        # every CLI command is a cold process; LAPACK (the Schur form,
+        # dgelsy) is loaded inside the functions that need it, by
+        # lp.flapack, and nothing imports scipy.sparse or scipy.optimize
         assert self._loaded("import sys, polycrit.cli", ("scipy.sparse", "scipy.optimize", "scipy.linalg")) == []
 
     def test_cli_import_leaves_layer_modules_unloaded(self):
@@ -568,15 +592,33 @@ class TestStartup:
         code = f"import sys; from polycrit.cli import main; assert all(main(a) == 0 for a in {commands!r})"
         assert self._loaded(code, ("scipy",)) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normal", "compress", "{p}", "--index", "1"],
+            ["varfirst", "extensible", "{p}", "--zero", "0.5"],
+            ["major", "check", "{p}", "--k", "2"],
+        ],
+    )
+    def test_lapack_commands_load_the_extension_alone(self, tmp_path, argv):
+        # zgees and dgelsy come from lp.flapack, which loads scipy's LAPACK
+        # extension from its file: the scipy.linalg package, about 85
+        # modules and 0.2-0.4 s of a cold command, stays unloaded
+        path = str(tmp_path / "p.json")
+        write_poly(path, Polynomial.from_roots([0.5, -0.3 + 0.4j, 0.1j, -0.6, 0.2 - 0.5j]))
+        argv = [a.format(p=path) for a in argv]
+        code = f"import sys; from polycrit.cli import main; assert main({argv!r}) == 0"
+        assert self._loaded(code, ("scipy",)) == ["scipy.linalg._flapack"]
+
     def test_package_import_leaves_scipy_unloaded(self):
         # a cold scipy.linalg import costs 240-330 ms on a 2-vCPU VM; the
-        # library functions that need scipy import it themselves
+        # library functions that need LAPACK load it themselves (lp.flapack)
         assert self._loaded("import sys, polycrit, polycrit.jsonio, polycrit.maximal_zero", ("scipy",)) == []
 
     def test_layer_imports_leave_scipy_unloaded(self):
-        # lp binds dgelsy and normal_ops takes zgees on first use; a
-        # module-level scipy.linalg import would add about 0.2 s to every
-        # cold command and to the desk's set-up
+        # lp binds dgelsy and normal_ops takes zgees on first use, from
+        # lp.flapack; a module-level scipy.linalg import would add about
+        # 0.2 s to every cold command and to the desk's set-up
         code = "import sys, polycrit.suite, polycrit.lp, polycrit.majorization, polycrit.normal_ops"
         assert self._loaded(code, ("scipy",)) == []
 

@@ -1,6 +1,7 @@
 """The "unchanged" record: the 21 desk values, digests of the c08 and c10
-spectra, and four `normal` CLI reports on fixed inputs, as recorded in
-tests/golden/record.json.
+spectra, of c11's majorization certificates and of c12's box optima t*,
+the reports of four `normal` commands, of `varfirst extensible` and of
+`major check` on fixed inputs, as recorded in tests/golden/record.json.
 
 On the numpy and scipy versions the record was made with, every value is
 compared by repr and every array by the sha256 of its bytes.  On other
@@ -33,13 +34,21 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 import scipy  # noqa: E402
 
-from polycrit import cli, jsonio, normal_ops, suite  # noqa: E402
+from polycrit import cli, jsonio, lp, majorization, normal_ops, suite  # noqa: E402
 from polycrit.poly import Polynomial, disk_points  # noqa: E402
 
 RECORD = Path(__file__).parent / "golden" / "record.json"
 
-# the tolerance each normal command applies to its numbers
-CLI_TOL = {"compress": 1e-8, "interlace": 1e-8, "glweights": 1e-10, "svar": 1e-9}
+# the tolerance each command applies to its numbers
+CLI_TOL = {
+    "compress": 1e-8,
+    "interlace": 1e-8,
+    "glweights": 1e-10,
+    "svar": 1e-9,
+    "extensible": lp.FEAS_TOL,
+    "check": majorization.CERT_TOL,
+}
+C12_TOL = 1e-9  # t* per entry on other versions, far from criterion 12's band edges (1e-12 max|M_ij|, 1e-7)
 
 
 def _versions() -> dict:
@@ -57,20 +66,20 @@ def _array_entry(x: np.ndarray, tol: float) -> dict:
 
 
 @contextlib.contextmanager
-def _recording(name: str, sink: list):
-    """normal_ops.<name> appends each call's result to sink."""
-    fn = getattr(normal_ops, name)
+def _recording(module, name: str, sink: list):
+    """module.<name> appends each call's result to sink."""
+    fn = getattr(module, name)
 
     def recorded(*args, **kwargs):
         out = fn(*args, **kwargs)
         sink.append(out)
         return out
 
-    setattr(normal_ops, name, recorded)
+    setattr(module, name, recorded)
     try:
         yield
     finally:
-        setattr(normal_ops, name, fn)
+        setattr(module, name, fn)
 
 
 def _corpora() -> dict:
@@ -80,7 +89,7 @@ def _corpora() -> dict:
     for roots, sub in suite._svar_corpus():
         out[f"c08.sub.n{roots.shape[1]}"] = _array_entry(sub, 1e-9)
     ratios, spectra = [], []
-    with _recording("interlace_ratios", ratios), _recording("compression_spectra", spectra):
+    with _recording(normal_ops, "interlace_ratios", ratios), _recording(normal_ops, "compression_spectra", spectra):
         suite.criterion_10_interlacing()
     for rows, (_, sub) in zip(ratios, spectra):
         n = sub.shape[1] + 1
@@ -91,13 +100,18 @@ def _corpora() -> dict:
 
 def _cli_reports() -> list:
     """Reports of normal compress, interlace, glweights and svar on a
-    seeded sextic with a double root and on z^4 + z, without duration_ms
-    and with the input path as its file name."""
+    seeded sextic with a double root and on z^4 + z; of varfirst
+    extensible on the quintic of its simple roots, at the first; and of
+    major check on a seeded cubic at k = 1, whose certificate R is the
+    only solution of its system.  Without duration_ms and with the input
+    path as its file name."""
     rng = np.random.default_rng(36)
     roots = disk_points(rng, 5)
     polys = {
         "p6.json": Polynomial.from_roots(np.r_[roots[:1], roots]),
         "z4.json": Polynomial((0.0, 1.0, 0.0, 0.0, 1.0)),
+        "p5.json": Polynomial.from_roots(roots),
+        "p3.json": Polynomial.from_roots(disk_points(rng, 3)),
     }
     argvs = [
         ["normal", "compress", "p6.json", "--index", "2"],
@@ -108,6 +122,8 @@ def _cli_reports() -> list:
         ["normal", "glweights", "z4.json", "--probes", "2,0;1.5,1.5"],
         ["normal", "svar", "p6.json"],
         ["normal", "svar", "--n", "5", "--trials", "40", "--seed", "3"],
+        ["varfirst", "extensible", "p5.json", f"--zero={float(roots[0].real)!r},{float(roots[0].imag)!r}"],
+        ["major", "check", "p3.json", "--k", "1"],
     ]
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,13 +143,21 @@ def _cli_reports() -> list:
 
 
 def build_record() -> dict:
-    checks = suite.run_all(verbose=False)
+    """The record of this install; c11's certificates and c12's t* are
+    taken from the run_all that gives the suite values."""
+    certs, t_stars = [], []
+    with _recording(majorization, "check_majorization", certs), _recording(lp, "strict_optimum", t_stars):
+        checks = suite.run_all(verbose=False)
+    corpora = _corpora()
+    R = np.concatenate([c.R.ravel() for c in certs if c is not None])
+    corpora["c11.R"] = _array_entry(R, majorization.CERT_TOL)
+    corpora["c12.t_star"] = _array_entry(np.array(t_stars), C12_TOL)
     return {
         "versions": _versions(),
         "suite": [
             {"name": c.name, "passed": c.passed, "value": repr(c.value), "tolerance": c.tolerance} for c in checks
         ],
-        "corpora": _corpora(),
+        "corpora": corpora,
         "cli": _cli_reports(),
     }
 
@@ -209,8 +233,21 @@ def test_record_unchanged(current, recorded):
 
 def test_record_covers_the_desk_and_four_commands(recorded):
     assert len(recorded["suite"]) == 21
-    assert sorted({k.split(".")[0] for k in recorded["corpora"]}) == ["c08", "c10"]
+    assert sorted({k.split(".")[0] for k in recorded["corpora"]}) == ["c08", "c10", "c11", "c12"]
+    assert {r["argv"][1] for r in recorded["cli"] if r["argv"][0] == "normal"} == {
+        "compress", "interlace", "glweights", "svar"
+    }
+
+
+def test_record_covers_the_lp_paths(recorded):
+    # the three commands that reach LAPACK (dgelsy, zgees) each have a report
     assert {r["argv"][1] for r in recorded["cli"]} == set(CLI_TOL)
+    assert {tuple(r["argv"][:2]) for r in recorded["cli"] if r["argv"][0] != "normal"} == {
+        ("varfirst", "extensible"), ("major", "check")
+    }
+    assert all(r["code"] == 0 for r in recorded["cli"])
+    assert recorded["corpora"]["c12.t_star"]["shape"] == [1059]
+    assert recorded["corpora"]["c11.R"]["tol"] == majorization.CERT_TOL
 
 
 def _copy(record: dict, versions: bool = True) -> dict:

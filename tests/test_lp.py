@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from polycrit.lp import (
 from polycrit.poly import Polynomial, disk_points
 from polycrit import majorization, maximal_zero, suite, variation_first
 
-from conftest import highs_box_optimum, seeded_matrices
+from conftest import fresh_python, highs_box_optimum, seeded_matrices
 
 
 class TestStrictFeasibility:
@@ -599,3 +600,73 @@ class TestHull:
         seg = [0.0, 1.0]
         assert in_convex_hull(0.5 + 1e-10j, seg, tol=1e-8)
         assert not in_convex_hull(0.5 + 1e-3j, seg, tol=1e-8)
+
+
+# the LP and Schur results of one process, by repr: strict_feasibility on a
+# strictly feasible and on a positively singular system, a box optimum, a
+# majorization certificate, and a compression spectrum
+_RESULTS = """
+import numpy as np
+from polycrit import lp, majorization as mj, normal_ops as no, Polynomial
+from polycrit.poly import disk_points
+rng = np.random.default_rng(37)
+M = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+p = Polynomial.from_roots(disk_points(rng, 5))
+cert = mj.check_majorization(mj.tuple_W(p, 0.0, 2), mj.tuple_Z(p, 0.0, 2))
+print([lp.flapack().__name__, repr(lp.strict_feasibility(M)), repr(lp.strict_feasibility([[1.0, 2j], [-1.0, -2j]])),
+       repr(lp.strict_optimum(M[:3])), cert.R.tobytes().hex(),
+       repr(no.compression_spectrum(no.normal_from_roots(disk_points(rng, 7)), 3))])
+"""
+
+
+class TestFlapack:
+    """lp.flapack, the one source of dgelsy and zgees, loads scipy's LAPACK
+    extension without the scipy.linalg package."""
+
+    def test_scipy_linalg_reuses_the_loaded_module(self):
+        code = (
+            "import sys, numpy as np; from polycrit import lp; m = lp.flapack();"
+            "alone = [k for k in sys.modules if k.startswith('scipy')];"
+            "import scipy.linalg; from scipy.linalg import lapack;"
+            "T, Z = scipy.linalg.schur(np.array([[1.0, 2.0], [0.0, 3.0]]), output='complex');"
+            "x = scipy.linalg.lstsq(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), np.array([1.0, 4.0, 0.0]))[0];"
+            "print([alone, m.__name__, lapack.dgelsy is m.dgelsy, lapack.zgees is m.zgees,"
+            " sys.modules['scipy.linalg._flapack'] is m, np.diagonal(T).real.tolist(), x.tolist()])"
+        )
+        alone, name, same_dgelsy, same_zgees, registered, eigenvalues, x = fresh_python(code)
+        assert alone == ["scipy.linalg._flapack"] and name == "scipy.linalg._flapack"
+        assert same_dgelsy and same_zgees and registered
+        assert sorted(eigenvalues) == [1.0, 3.0]
+        assert x == pytest.approx([1.0, 2.0], abs=1e-14)
+
+    def test_loaded_module_is_reused_in_process(self):
+        # this process has imported scipy.linalg (the HiGHS oracles)
+        from scipy.linalg import lapack
+
+        assert lp.flapack() is sys.modules["scipy.linalg._flapack"]
+        assert lp.flapack().dgelsy is lapack.dgelsy and lp.flapack().zgees is lapack.zgees
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        return fresh_python(_RESULTS)
+
+    @pytest.mark.parametrize(
+        "prelude",
+        [
+            # no extension suffix: the file lookup fails
+            "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []",
+            # the file is found but does not load, as on a platform where
+            # the extension needs libraries that only scipy's import sets up
+            "import importlib.util\n"
+            "def refuse(spec): raise ImportError('DLL load failed')\n"
+            "importlib.util.module_from_spec = refuse",
+        ],
+        ids=["no-file", "no-load"],
+    )
+    def test_fallback_gives_the_same_results(self, direct, prelude):
+        # flapack imports scipy.linalg.lapack: the same routines, the same bits
+        fallback = fresh_python(prelude + _RESULTS)
+        assert direct[0] == "scipy.linalg._flapack" and fallback[0] == "scipy.linalg.lapack"
+        assert fallback[1:] == direct[1:]
+        assert direct[1].startswith("FeasibilityCertificate(verdict=<Verdict.STRICTLY_FEASIBLE")
+        assert direct[2].startswith("FeasibilityCertificate(verdict=<Verdict.POSITIVELY_SINGULAR")

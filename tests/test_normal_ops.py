@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from polycrit.metrics import bottleneck_assignment
 from polycrit.poly import Polynomial
-from polycrit import cli, jsonio, normal_ops as no
+from polycrit import cli, jsonio, lp, normal_ops as no
 from polycrit import poly, suite
 
 from conftest import disk_points, lex_sorted, roots_of_unity
@@ -300,8 +300,8 @@ class TestEigenbasis:
             assert A.departure == np.abs(np.triu(T, 1)).max()
 
     def test_zgees_failure_names_stage(self, monkeypatch):
-        from scipy.linalg import lapack
-
+        # as_normal reaches zgees only through the loader's module
+        lapack = lp.flapack()
         zgees = lapack.zgees
 
         def failing(select, a, lwork):
@@ -673,9 +673,9 @@ def _stack_member(kind: str, n: int, i: int, seed: int) -> np.ndarray:
 @pytest.fixture
 def zgees_calls(monkeypatch):
     """Counter of zgees calls by matrix shape, and of workspace queries,
-    from a cold workspace cache."""
-    from scipy.linalg import lapack
-
+    from a cold workspace cache, on the loader's module, the library's one
+    binding of zgees."""
+    lapack = lp.flapack()
     zgees, calls = lapack.zgees, Counter()
 
     def counted(select, a, lwork):
